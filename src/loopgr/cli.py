@@ -31,6 +31,16 @@ def _load(path: str):
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
 
 
+def _working_precision(value, what: str):
+    """A working precision: None for the default, else an int (not a bool)
+    in [1, MAX_PRECISION]."""
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_PRECISION
+    ):
+        raise SchemaError(f"{what} must be an int in [1, {MAX_PRECISION}], got {value!r}")
+    return value
+
+
 def _ring_of(doc):
     if not isinstance(doc, dict):
         raise SchemaError("top-level input must be a JSON object")
@@ -218,9 +228,7 @@ def _cmd_expand(doc, precision, seed):
     fields = jsonio._take(doc, "input", ("function", "center"), ("ring", "precision"))
     f = jsonio.function_from_json(ring, fields["function"])
     center = jsonio.scalar_from_json(ring, fields["center"])
-    local = fields.get("precision", precision)
-    if local is not None and not isinstance(local, int):
-        raise SchemaError("expand: precision must be an int")
+    local = _working_precision(fields.get("precision", precision), "expand: precision")
     s = f.expand_at(center, local)
     return {"series": jsonio.series_to_json(s)}, f"expansion  {s!r}"
 
@@ -264,17 +272,16 @@ def _run_one(command: str, doc, precision, seed):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    precision = args.precision
-    if precision is not None and not 1 <= precision <= MAX_PRECISION:
-        print(f"error: --precision must be in [1, {MAX_PRECISION}]", file=sys.stderr)
-        return 2
     try:
+        precision = _working_precision(args.precision, "--precision")
         if args.command == "batch" or args.batch_file:
             return _run_batch(args)
         doc = _load(args.input)
         out, text = _run_one(args.command, doc, precision, args.seed)
     except Error as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        suggested = exc.suggested_precision
+        hint = f" (suggested precision {suggested})" if suggested is not None else ""
+        print(f"error[{type(exc).__name__}]: {exc}{hint}", file=sys.stderr)
         return exc.exit_code
     if args.format == "json":
         print(json.dumps(out, sort_keys=True))
@@ -297,25 +304,19 @@ def _run_batch(args) -> int:
         try:
             entry = json.loads(line)
             fields = jsonio._take(entry, "batch entry", ("command", "input"), ("precision",))
-            out, _ = _run_one(
-                fields["command"], fields["input"], fields.get("precision", args.precision), args.seed
+            precision = _working_precision(
+                fields.get("precision", args.precision), "batch entry: precision"
             )
+            out, _ = _run_one(fields["command"], fields["input"], precision, args.seed)
             print(json.dumps({"index": index, "ok": True, "output": out}, sort_keys=True))
         except json.JSONDecodeError as exc:
             print(json.dumps({"index": index, "ok": False, "error": "SchemaError", "message": str(exc)}))
             status = status or 2
         except Error as exc:
-            print(
-                json.dumps(
-                    {
-                        "index": index,
-                        "ok": False,
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                    },
-                    sort_keys=True,
-                )
-            )
+            row = {"index": index, "ok": False, "error": type(exc).__name__, "message": str(exc)}
+            if exc.suggested_precision is not None:
+                row["suggested_precision"] = exc.suggested_precision
+            print(json.dumps(row, sort_keys=True))
             status = status or exc.exit_code
     return status
 

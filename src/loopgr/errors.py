@@ -7,6 +7,7 @@ class Error(Exception):
     """Base class for all loopgr errors."""
 
     exit_code = 1
+    suggested_precision: int | None = None  # a retry precision that may help
 
 
 class SchemaError(Error):

@@ -235,8 +235,15 @@ def extend_point(
         all_loops.append(datum.infinity_loop)
     for i, lp in enumerate(all_loops):
         fact = factor_elementary(lp, precision)
-        lifted = lift_factorization(fact, target, perturbations.get(i))
-        lifted_loops.append(lifted.product())
+        lifted = lift_factorization(fact, target, perturbations.get(i)).product()
+        det = lifted.det()
+        if det.is_zero_to_precision and not det.is_exact:
+            # truncated factor parameters cancel the whole determinant window
+            raise InsufficientPrecision(
+                "a lifted loop's determinant vanishes on its known window",
+                suggested_precision=2 * (precision or DEFAULT_PRECISION),
+            )
+        lifted_loops.append(lifted)
     inf_loop = lifted_loops.pop() if datum.infinity_loop is not None else None
     return ModificationDatum(
         target,

@@ -257,10 +257,6 @@ class LoopMatrix:
             consts.append(row)
         return self.ring.is_unit(_scalar_det(self.ring, consts))
 
-    def constant_term(self):
-        """The matrix of coefficients at t^0, as nested backend scalars."""
-        return [[e.coefficient(0) for e in r] for r in self.rows]
-
     def map_entries(self, fn, ring: Ring) -> "LoopMatrix":
         return LoopMatrix(
             [[e.map_coefficients(fn, ring) for e in r] for r in self.rows],

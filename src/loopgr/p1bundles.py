@@ -295,8 +295,7 @@ def _shifted_factor_inverse(ring, points, bounds, i, need):
     n_i = bounds[i]
     unit_series = LaurentSeries.make(ring, 0, unit, None)
     window = need + n_i + 1
-    inv = unit_series.invert(window) if len(unit) > 1 else unit_series.invert()
-    return inv.shifted(-n_i)
+    return unit_series.invert(window).shifted(-n_i)
 
 
 def _shifted_powers(ring, r, deg, inv_fac):
@@ -350,9 +349,7 @@ def _infinity_rows(ring, datum, bounds, binf, m, deg, unknowns, precision):
             denom = poly_mul(ring, denom, lin)
     denom_series = LaurentSeries.make(ring, 0, denom, None)
     window = 2 * binf + 4
-    inv_denom = (
-        denom_series.invert(window) if len(denom) > 1 else denom_series.invert()
-    )
+    inv_denom = denom_series.invert(window)
     alpha_inv = datum.infinity_loop.inverse(
         max(precision or DEFAULT_PRECISION, 2 * binf + abs(m) + 2)
     )

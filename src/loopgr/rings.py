@@ -51,6 +51,38 @@ class Ring:
     def is_zero(self, a) -> bool:
         return self.eq(a, self.zero)
 
+    def mul_vec(self, a, b, limit=None) -> list:
+        """The first `limit` coefficients (all when None) of the product of
+        two coefficient sequences indexed by exponent."""
+        if not a or not b:
+            return []
+        size = len(a) + len(b) - 1
+        if limit is not None and limit < size:
+            size = max(limit, 0)
+        add, mul, is_zero = self.add, self.mul, self.is_zero
+        out = [self.zero] * size
+        for i, ai in enumerate(a[:size]):
+            if is_zero(ai):
+                continue
+            for j, bj in enumerate(b[: size - i], i):
+                out[j] = add(out[j], mul(ai, bj))
+        return out
+
+    def inv_vec(self, a, length: int) -> list:
+        """The first `length` coefficients of 1/a; a[0] must be a unit."""
+        add, mul = self.add, self.mul
+        c0 = self.inv(a[0])
+        terms = [(i, ai) for i, ai in enumerate(a[1:length], 1) if not self.is_zero(ai)]
+        out = [c0]
+        for k in range(1, length):
+            acc = self.zero
+            for i, ai in terms:
+                if i > k:
+                    break
+                acc = add(acc, mul(ai, out[k - i]))
+            out.append(self.neg(mul(c0, acc)))
+        return out
+
     def require_same(self, other: "Ring") -> None:
         if self != other:
             raise BackendMismatch(f"backend mismatch: {self} vs {other}")
@@ -254,15 +286,7 @@ class ArtinianRing(Ring):
         return tuple(bneg(x) for x in a)
 
     def mul(self, a, b):
-        m = self.m
-        badd, bmul = self.base.add, self.base.mul
-        out = [self.base.zero] * m
-        for i, ai in enumerate(a):
-            if self.base.is_zero(ai):
-                continue
-            for j in range(m - i):
-                out[i + j] = badd(out[i + j], bmul(ai, b[j]))
-        return tuple(out)
+        return tuple(self.base.mul_vec(a, b, self.m))
 
     def eq(self, a, b):
         beq = self.base.eq
@@ -275,14 +299,7 @@ class ArtinianRing(Ring):
         # Power-series reciprocal truncated at x^m; needs a unit residue.
         if not self.is_unit(a):
             raise NonUnitLeading(f"constant term is not a unit in {self.name}")
-        c0 = self.base.inv(a[0])
-        out = [c0] + [self.base.zero] * (self.m - 1)
-        for k in range(1, self.m):
-            acc = self.base.zero
-            for i in range(1, k + 1):
-                acc = self.base.add(acc, self.base.mul(a[i], out[k - i]))
-            out[k] = self.base.neg(self.base.mul(c0, acc))
-        return tuple(out)
+        return tuple(self.base.inv_vec(a, self.m))
 
     def scalar_str(self, a) -> str:
         parts = []

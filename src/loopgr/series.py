@@ -59,15 +59,7 @@ def poly_neg(ring, a):
 
 
 def poly_mul(ring, a, b):
-    if not a or not b:
-        return ()
-    out = [ring.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ring.is_zero(ai):
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = ring.add(out[i + j], ring.mul(ai, bj))
-    return poly_trim(ring, out)
+    return poly_trim(ring, ring.mul_vec(a, b))
 
 
 def poly_scale(ring, c, a):
@@ -113,89 +105,6 @@ def poly_shift_var(ring, p, r):
     for c in reversed(p):
         res = poly_add(ring, poly_mul(ring, res, lin), poly_trim(ring, (c,)))
     return res
-
-
-def poly_eval(ring, p, r):
-    acc = ring.zero
-    for c in reversed(p):
-        acc = ring.add(ring.mul(acc, r), c)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-
-
-class PowerSeries:
-    """A power series known modulo t^P: exactly P stored coefficients."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: Ring, coeffs):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise DomainError("a power series needs precision at least 1")
-        self.ring = ring
-        self.coeffs = coeffs
-
-    @property
-    def precision(self) -> int:
-        return len(self.coeffs)
-
-    def constant_term(self):
-        return self.coeffs[0]
-
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self.coeffs[0])
-
-    def add(self, other: "PowerSeries") -> "PowerSeries":
-        self.ring.require_same(other.ring)
-        p = min(self.precision, other.precision)
-        add = self.ring.add
-        return PowerSeries(
-            self.ring, [add(a, b) for a, b in zip(self.coeffs[:p], other.coeffs[:p])]
-        )
-
-    def mul(self, other: "PowerSeries") -> "PowerSeries":
-        self.ring.require_same(other.ring)
-        ring = self.ring
-        p = min(self.precision, other.precision)
-        out = [ring.zero] * p
-        for i, ai in enumerate(self.coeffs[:p]):
-            if ring.is_zero(ai):
-                continue
-            for j in range(p - i):
-                out[i + j] = ring.add(out[i + j], ring.mul(ai, other.coeffs[j]))
-        return PowerSeries(ring, out)
-
-    def invert(self) -> "PowerSeries":
-        ring = self.ring
-        if not self.is_unit():
-            raise NonUnitLeading("constant term is not a unit")
-        c0 = ring.inv(self.coeffs[0])
-        out = [c0] + [ring.zero] * (self.precision - 1)
-        for k in range(1, self.precision):
-            acc = ring.zero
-            for i in range(1, k + 1):
-                acc = ring.add(acc, ring.mul(self.coeffs[i], out[k - i]))
-            out[k] = ring.neg(ring.mul(c0, acc))
-        return PowerSeries(ring, out)
-
-    def as_laurent(self) -> "LaurentSeries":
-        return LaurentSeries.make(self.ring, 0, list(self.coeffs), self.precision)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PowerSeries)
-            and self.ring == other.ring
-            and len(self.coeffs) == len(other.coeffs)
-            and all(self.ring.eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
-
-    def __repr__(self):
-        return repr(self.as_laurent())
 
 
 class LaurentSeries:
@@ -291,11 +200,6 @@ class LaurentSeries:
             return self.shift
         return self.known_end
 
-    def leading_coefficient(self):
-        if not self.coeffs:
-            raise UndetectableValuation("series is zero on its known window")
-        return self.coeffs[0]
-
     def coefficient(self, e: int):
         """The coefficient at exponent e; raises if e is outside the
         known window."""
@@ -315,18 +219,6 @@ class LaurentSeries:
         if self.known_end is None or not self.coeffs:
             return None
         return self.known_end - self.shift
-
-    def unit_body(self) -> PowerSeries:
-        """The power series u with self = t^valuation * u and u(0) a unit."""
-        if not self.coeffs:
-            raise UndetectableValuation("series is zero on its known window")
-        if not self.ring.is_unit(self.coeffs[0]):
-            raise NonUnitLeading("leading coefficient is not a unit")
-        length = self.window_length()
-        if length is None:
-            length = max(len(self.coeffs), 1)
-        cs = list(self.coeffs) + [self.ring.zero] * (length - len(self.coeffs))
-        return PowerSeries(self.ring, cs)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -371,26 +263,9 @@ class LaurentSeries:
         )
         if not self.coeffs or not other.coeffs:
             return LaurentSeries.make(ring, 0, (), end)
-        out = [ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-        bcs = other.coeffs
-        for i, ai in enumerate(self.coeffs):
-            if is_zero(ai):
-                continue
-            for j, bj in enumerate(bcs):
-                out[i + j] = add(out[i + j], mul(ai, bj))
-        return LaurentSeries.make(ring, self.shift + other.shift, out, end)
-
-    def scalar_mul(self, c) -> "LaurentSeries":
-        c = self.ring.of(c)
-        if self.ring.is_zero(c):
-            return LaurentSeries.make(self.ring, 0, (), None)
-        return LaurentSeries.make(
-            self.ring,
-            self.shift,
-            [self.ring.mul(c, x) for x in self.coeffs],
-            self.known_end,
-        )
+        shift = self.shift + other.shift
+        limit = None if end is None else end - shift
+        return LaurentSeries.make(ring, shift, ring.mul_vec(self.coeffs, other.coeffs, limit), end)
 
     def shifted(self, k: int) -> "LaurentSeries":
         """Multiplication by t^k, always exact."""
@@ -418,14 +293,7 @@ class LaurentSeries:
         length = self.window_length()
         if length is None:
             length = precision if precision is not None else DEFAULT_PRECISION
-        c0 = ring.inv(self.coeffs[0])
-        out = [c0] + [ring.zero] * (length - 1)
-        for k in range(1, length):
-            acc = ring.zero
-            for i in range(1, min(k, len(self.coeffs) - 1) + 1):
-                acc = ring.add(acc, ring.mul(self.coeffs[i], out[k - i]))
-            out[k] = ring.neg(ring.mul(c0, acc))
-        return LaurentSeries.make(ring, -v, out, -v + length)
+        return LaurentSeries.make(ring, -v, ring.inv_vec(self.coeffs, length), -v + length)
 
     def div(self, other: "LaurentSeries", precision: int | None = None) -> "LaurentSeries":
         """self / other.  When both operands are exact and the division is
@@ -512,22 +380,6 @@ class LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-
-
-def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a.add(b)
-
-
-def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a.mul(b)
-
-
-def invert(a: LaurentSeries, precision: int | None = None) -> LaurentSeries:
-    return a.invert(precision)
-
-
-def valuation(a: LaurentSeries) -> int | None:
-    return a.valuation
 
 
 class RationalFunction:
@@ -626,14 +478,6 @@ class RationalFunction:
             raise UndetectableValuation("denominator vanishes identically")
         return nu.div(de, precision)
 
-    def expand_at_infinity(self, precision: int | None = None) -> LaurentSeries:
-        """Laurent expansion of self(1/s) around s = 0."""
-        ring = self.ring
-        dn, dd = len(self.num) - 1, len(self.den) - 1
-        nu = LaurentSeries.make(ring, -dn, tuple(reversed(self.num)), None)
-        de = LaurentSeries.make(ring, -dd, tuple(reversed(self.den)), None)
-        return nu.div(de, precision)
-
     def pole_order_at(self, r) -> int:
         """Order of the pole at t = r (0 when regular there)."""
         ring = self.ring
@@ -650,12 +494,6 @@ class RationalFunction:
             den = q
             order += 1
         return order
-
-    def degree_at_infinity(self) -> int:
-        """Pole order at infinity: deg num - deg den (negative means a zero)."""
-        if self.is_zero:
-            return 0
-        return (len(self.num) - 1) - (len(self.den) - 1)
 
     def __eq__(self, other):
         return (

@@ -97,6 +97,26 @@ def rand_exact_series(ring, rng, lo=-2, hi=3, density=0.7, unit=False):
     return s
 
 
+def det_cancelling_sl2_loop():
+    """E12(-t^-2 - 2t^2) E21(2t^-2 + 4t^-1) E12(-4t^-2 + 1) E21(4t^-2)
+    E12(3t^-2 - 2/3 t^2) over QQ.  Lifted to QQ[x]/(x^2) from its factors at
+    the default precision, the truncated parameters cancel the whole known
+    window of the determinant; at precision 32 they do not."""
+    from loopgr import elementary_loop
+
+    loop = None
+    for (i, j), terms in [
+        ((0, 1), [(-2, -1), (2, -2)]),
+        ((1, 0), [(-2, 2), (-1, 4)]),
+        ((0, 1), [(-2, -4), (0, 1)]),
+        ((1, 0), [(-2, 4)]),
+        ((0, 1), [(-2, 3), (2, QQ.parse("-2/3"))]),
+    ]:
+        e = elementary_loop(QQ, 2, i, j, LaurentSeries.from_terms(QQ, terms))
+        loop = e if loop is None else loop.mat_mul(e)
+    return loop
+
+
 def rand_truncated_series(ring, rng, lo=-2, hi=3, window=8):
     s = rand_exact_series(ring, rng, lo, hi)
     return s.truncated(rng.randint(lo + 1, lo + window))

@@ -4,6 +4,8 @@ import pytest
 
 from loopgr.cli import main
 
+from conftest import det_cancelling_sl2_loop
+
 
 def run(capsys, args, stdin=None, monkeypatch=None):
     if stdin is not None:
@@ -41,6 +43,16 @@ ROTATION_LOOP = {
         [{"terms": [[0, "-1"]]}, {"terms": []}],
     ],
     "group": "SL",
+}
+
+# a zero entry whose window ends at the pivot valuation is undecidable
+HALF_LOOP = {
+    "n": 2,
+    "entries": [
+        [{"terms": [], "precision": 0}, {"terms": [[0, "1"]]}],
+        [{"terms": [[0, "1"]]}, {"terms": [[1, "1"]]}],
+    ],
+    "group": "GL",
 }
 
 
@@ -188,18 +200,24 @@ def test_exit_code_precision(tmp_path, capsys):
     path = write(tmp_path, "z.json", {"loop": loop})
     code, _, err = run(capsys, ["stratum", path])
     assert code == 4  # singular to precision
-    # a zero entry whose window ends at the pivot valuation is undecidable
-    half_loop = {
-        "n": 2,
-        "entries": [
-            [{"terms": [], "precision": 0}, {"terms": [[0, "1"]]}],
-            [{"terms": [[0, "1"]]}, {"terms": [[1, "1"]]}],
-        ],
-        "group": "GL",
-    }
-    path2 = write(tmp_path, "h.json", {"loop": half_loop})
+    path2 = write(tmp_path, "h.json", {"loop": HALF_LOOP})
     code2, _, err2 = run(capsys, ["stratum", path2])
     assert code2 == 3 and "InsufficientPrecision" in err2
+    assert "(suggested precision " in err2
+
+
+def test_extend_precision_failure_suggests_retry(tmp_path, capsys):
+    from loopgr import jsonio
+
+    loop = jsonio.loop_to_json(det_cancelling_sl2_loop())
+    datum = {"points": ["1"], "loops": [loop], "infinity_loop": None}
+    path = write(tmp_path, "ext.json", {"datum": datum, "modulus_power": 2})
+    code, _, err = run(capsys, ["extend", path])
+    assert code == 3 and "InsufficientPrecision" in err
+    suggested = int(err.rsplit("(suggested precision ", 1)[1].rstrip(")\n"))
+    assert suggested > 16
+    code, out, _ = run(capsys, ["extend", path, "--precision", str(suggested)])
+    assert code == 0 and json.loads(out)["reduces_to_input"] is True
 
 
 def test_exit_code_domain(tmp_path, capsys):
@@ -214,20 +232,36 @@ def test_precision_flag_bounds(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", [0, -3, 5000, True, "8"])
+def test_batch_and_expand_precision_bounds(tmp_path, capsys, bad):
+    entry = {"command": "stratum", "input": {"loop": IDENTITY_LOOP}, "precision": bad}
+    p = tmp_path / "batch.jsonl"
+    p.write_text(json.dumps(entry) + "\n")
+    code, out, _ = run(capsys, ["batch", str(p)])
+    row = json.loads(out)
+    assert code == 2 and not row["ok"] and row["error"] == "SchemaError"
+    doc = {"function": {"num": [[0, "1"]]}, "center": "0", "precision": bad}
+    code, _, err = run(capsys, ["expand", write(tmp_path, "e.json", doc)])
+    assert code == 2 and "SchemaError" in err
+
+
 def test_batch_mode(tmp_path, capsys):
     lines = [
         json.dumps({"command": "stratum", "input": {"loop": IDENTITY_LOOP}}),
         json.dumps({"command": "stratum", "input": {"bad": 1}}),
         json.dumps({"command": "h0", "input": {"datum": {"points": ["0"], "loops": [DIAG_LOOP], "infinity_loop": None}, "m": 0}}),
+        json.dumps({"command": "stratum", "input": {"loop": HALF_LOOP}}),
     ]
     p = tmp_path / "batch.jsonl"
     p.write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, ["batch", str(p)])
     rows = [json.loads(line) for line in out.splitlines()]
-    assert [r["index"] for r in rows] == [0, 1, 2]
+    assert [r["index"] for r in rows] == [0, 1, 2, 3]
     assert rows[0]["ok"] and rows[0]["output"] == {"lambda": [0, 0]}
     assert not rows[1]["ok"] and rows[1]["error"] == "SchemaError"
     assert rows[2]["ok"] and rows[2]["output"] == {"h0": 2}
+    assert rows[3]["error"] == "InsufficientPrecision" and rows[3]["suggested_precision"] > 16
+    assert "suggested_precision" not in rows[1]
     assert code == 2  # first failure's code
 
 

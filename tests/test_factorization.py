@@ -3,6 +3,7 @@ import random
 import pytest
 
 from loopgr import (
+    DEFAULT_PRECISION,
     QQ,
     ArtinianRing,
     ElementaryFactor,
@@ -21,9 +22,9 @@ from loopgr import (
     reduce_loop,
     stratum,
 )
-from loopgr.errors import DomainError
+from loopgr.errors import DomainError, InsufficientPrecision
 
-from conftest import rand_exact_series
+from conftest import det_cancelling_sl2_loop, rand_exact_series
 
 
 def E12(terms, ring=QQ):
@@ -209,3 +210,15 @@ def test_extend_requires_rank_two():
     d = ModificationDatum.at_points(QQ, ["0"], [LoopMatrix.identity(QQ, 3)])
     with pytest.raises(NotImplementedError):
         extend_point(d, A)
+
+
+def test_extend_precision_failure_is_retryable():
+    loop = det_cancelling_sl2_loop()
+    d = ModificationDatum.at_points(QQ, ["1"], [loop])
+    A = ArtinianRing(QQ, 2)
+    with pytest.raises(InsufficientPrecision) as err:
+        extend_point(d, A)
+    suggested = err.value.suggested_precision
+    assert suggested > DEFAULT_PRECISION
+    out = extend_point(d, A, precision=suggested)
+    assert reduce_datum(out).loops[0].agrees_with(loop)

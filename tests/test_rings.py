@@ -5,6 +5,8 @@ import pytest
 from loopgr import QQ, ArtinianRing, PrimeField
 from loopgr.errors import DomainError, NonUnitLeading
 
+from conftest import PolyModel
+
 
 def test_rational_parse_and_str():
     assert QQ.parse("3/7") * 7 == 3
@@ -81,3 +83,17 @@ def test_random_unit_is_unit(any_ring):
         u = any_ring.random_unit(rng)
         assert any_ring.is_unit(u)
         assert any_ring.eq(any_ring.mul(u, any_ring.inv(u)), any_ring.one)
+
+
+@pytest.mark.parametrize("base", [QQ, PrimeField(10007)], ids=["Q", "F10007"])
+def test_artinian_arithmetic_against_model(base):
+    # k[x]/(x^m) products are polynomial products cut below x^m
+    rng = random.Random(f"artinian-model:{base.name}")
+    for m in range(1, 7):
+        A = ArtinianRing(base, m)
+        for _ in range(30):
+            a, b = A.random(rng), A.random(rng)
+            full = PolyModel(base, dict(enumerate(a))).mul(PolyModel(base, dict(enumerate(b))))
+            assert A.eq(A.mul(a, b), tuple(full.terms.get(e, base.zero) for e in range(m)))
+            u = A.random_unit(rng)
+            assert A.eq(A.mul(u, A.inv(u)), A.one)

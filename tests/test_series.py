@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopgr import QQ, LaurentSeries, PowerSeries, PrimeField, RationalFunction, expand_shift
+from loopgr import QQ, LaurentSeries, PrimeField, RationalFunction, expand_shift
 from loopgr.errors import (
     BackendMismatch,
     InsufficientPrecision,
@@ -117,28 +117,15 @@ def test_coefficient_beyond_window_raises():
 
 
 # ---------------------------------------------------------------------------
-# power series contract
-
-
-def test_power_series_length_is_precision():
-    p = PowerSeries(QQ, [1, 2, 3])
-    assert p.precision == 3 and len(p.coeffs) == 3
-    q = p.mul(PowerSeries(QQ, [1, 1]))
-    assert q.precision == 2 and q.coeffs == (1, 3)
+# power series: Laurent series with valuation >= 0 and a finite window
 
 
 def test_power_series_inverse():
-    p = PowerSeries(QQ, [1, -1, 0, 0])
-    assert p.invert().coeffs == (1, 1, 1, 1)
-    prod = p.mul(p.invert())
-    assert prod.coeffs == (1, 0, 0, 0)
-
-
-def test_unit_body_roundtrip():
-    s = S([(-2, 3), (0, 1)], 4)
-    body = s.unit_body()
-    assert body.precision == 6  # window of length 6 from valuation -2
-    assert body.coeffs[0] == 3
+    # 1/((1 - t) + O(t^4)) = 1 + t + t^2 + t^3 + O(t^4)
+    p = S([(0, 1), (1, -1)], 4)
+    inv = p.invert()
+    assert inv == S([(e, 1) for e in range(4)], 4)
+    assert p.mul(inv) == S([(0, 1)], 4)
 
 
 # ---------------------------------------------------------------------------
