@@ -138,7 +138,7 @@ def smith_normal_form(a: LoopMatrix, precision: int | None = None) -> CartanFact
     v = [list(r) for r in LoopMatrix.identity(ring, n).rows]
     divisors = []
     for s in range(n):
-        i0, j0 = _min_valuation_pivot(m, s)
+        i0, j0 = _min_valuation_pivot(m, s, precision)
         if i0 != s:
             m[s], m[i0] = m[i0], m[s]
             for r in u:

@@ -34,9 +34,7 @@ def _load(path: str):
 def _working_precision(value, what: str):
     """A working precision: None for the default, else an int (not a bool)
     in [1, MAX_PRECISION]."""
-    if value is not None and (
-        isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_PRECISION
-    ):
+    if value is not None and not (jsonio._is_int(value) and 1 <= value <= MAX_PRECISION):
         raise SchemaError(f"{what} must be an int in [1, {MAX_PRECISION}], got {value!r}")
     return value
 
@@ -116,7 +114,7 @@ def _cmd_h0(doc, precision, seed):
     fields = jsonio._take(doc, "input", ("datum", "m"), ("ring",))
     datum = jsonio.datum_from_json(ring, fields["datum"])
     m = fields["m"]
-    if not isinstance(m, int):
+    if not jsonio._is_int(m):
         raise SchemaError("h0: twist m must be an int")
     value = p1bundles.h0(datum, m, precision)
     return {"h0": value}, f"h0(twist {m})  {value}"
@@ -172,7 +170,7 @@ def _cmd_lift(doc, precision, seed):
     fields = jsonio._take(doc, "input", ("factorization", "modulus_power"), ("ring",))
     fact = jsonio.factorization_from_json(ring, fields["factorization"])
     m = fields["modulus_power"]
-    if not isinstance(m, int) or m < 1:
+    if not jsonio._is_int(m) or m < 1:
         raise SchemaError("lift: modulus_power must be a positive int")
     target = ArtinianRing(ring, m)
     lifted = factorization.lift_factorization(fact, target)
@@ -188,7 +186,7 @@ def _cmd_extend(doc, precision, seed):
     fields = jsonio._take(doc, "input", ("datum", "modulus_power"), ("ring", "perturb"))
     datum = jsonio.datum_from_json(ring, fields["datum"])
     m = fields["modulus_power"]
-    if not isinstance(m, int) or m < 1:
+    if not jsonio._is_int(m) or m < 1:
         raise SchemaError("extend: modulus_power must be a positive int")
     target = ArtinianRing(ring, m)
     perturbations = None

@@ -29,8 +29,13 @@ from .rings import QQ, ArtinianRing, PrimeField, Ring
 from .series import LaurentSeries, RationalFunction
 
 
+def _is_int(obj) -> bool:
+    """A JSON integer: an int that is not a bool (bool subclasses int)."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _expect(obj, kind, what: str):
-    if not isinstance(obj, kind):
+    if not (_is_int(obj) if kind is int else isinstance(obj, kind)):
         raise SchemaError(f"{what}: expected {kind.__name__}, got {type(obj).__name__}")
     return obj
 
@@ -49,8 +54,6 @@ def _take(obj: dict, what: str, required: tuple, optional: tuple = ()) -> dict:
 def _wrap(what: str, fn, *args):
     try:
         return fn(*args)
-    except SchemaError:
-        raise
     except Error:
         raise
     except (TypeError, ValueError, KeyError) as exc:
@@ -222,7 +225,7 @@ def factorization_from_json(ring: Ring, obj) -> Factorization:
     for f in _expect(fields["factors"], list, "factorization.factors"):
         fs = _take(f, "factor", ("pos", "param"))
         pos = _expect(fs["pos"], list, "factor.pos")
-        if len(pos) != 2 or not all(isinstance(x, int) for x in pos):
+        if len(pos) != 2 or not all(_is_int(x) for x in pos):
             raise SchemaError("factor.pos must be [i, j] with 1-based ints")
         param = series_from_json(ring, fs["param"])
         factors.append(_wrap("factor", ElementaryFactor, tuple(pos), param))

@@ -21,41 +21,26 @@ from .rings import QQ, Ring
 from .series import DEFAULT_PRECISION, LaurentSeries
 
 
-def _scalar_det(ring: Ring, rows) -> object:
-    """Determinant of a matrix of backend scalars by cofactor expansion
-    (division free, so it works over the Artinian backend too)."""
-    n = len(rows)
-    if n == 0:
-        return ring.one
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return ring.sub(
-            ring.mul(rows[0][0], rows[1][1]), ring.mul(rows[0][1], rows[1][0])
-        )
-    acc = ring.zero
-    sign = 1
-    for j in range(n):
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = ring.mul(rows[0][j], _scalar_det(ring, minor))
-        acc = ring.add(acc, term if sign > 0 else ring.neg(term))
-        sign = -sign
-    return acc
+def _minor(rows, ri, ci, memo) -> LaurentSeries:
+    """Determinant of the submatrix of `rows` on the row-index tuple `ri` and
+    the column-index tuple `ci`, by expansion along its first row.
 
-
-def _series_det(rows) -> LaurentSeries:
-    """Determinant of a matrix of Laurent series by cofactor expansion."""
-    n = len(rows)
-    ring = rows[0][0].ring
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0].mul(rows[1][1]).sub(rows[0][1].mul(rows[1][0]))
-    acc = LaurentSeries.zero(ring, None)
-    for j in range(n):
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j].mul(_series_det(minor))
-        acc = acc.add(term if j % 2 == 0 else term.neg())
+    Division free, so it works over every backend.  Minors are memoized on
+    (ri, ci): a full determinant costs O(n 2^n) products, not n!.
+    """
+    if len(ri) == 1:
+        return rows[ri[0]][ci[0]]
+    key = (ri, ci)
+    if key in memo:
+        return memo[key]
+    top, rest = rows[ri[0]], ri[1:]
+    acc = None
+    for k, c in enumerate(ci):
+        term = top[c].mul(_minor(rows, rest, ci[:k] + ci[k + 1 :], memo))
+        if k % 2:
+            term = term.neg()
+        acc = term if acc is None else acc.add(term)
+    memo[key] = acc
     return acc
 
 
@@ -125,7 +110,8 @@ class LoopMatrix:
 
     def det(self) -> LaurentSeries:
         if self._det is None:
-            self._det = _series_det(self.rows)
+            full = tuple(range(self.n))
+            self._det = _minor(self.rows, full, full, {})
         return self._det
 
     def mat_mul(self, other: "LoopMatrix") -> "LoopMatrix":
@@ -166,17 +152,16 @@ class LoopMatrix:
             )
         if self.n <= 3:
             inv_det = d.invert(precision)
+            full = tuple(range(self.n))
+            without = [full[:k] + full[k + 1 :] for k in full]
+            memo = {}
             rows = []
             for i in range(self.n):
                 row = []
                 for j in range(self.n):
-                    minor = [
-                        [self.rows[a][b] for b in range(self.n) if b != i]
-                        for a in range(self.n)
-                        if a != j
-                    ]
+                    # cofactor (j, i): the minor without row j and column i
                     cof = (
-                        _series_det(minor)
+                        _minor(self.rows, without[j], without[i], memo)
                         if self.n > 1
                         else LaurentSeries.one(ring)
                     )
@@ -198,7 +183,7 @@ class LoopMatrix:
         ident = LoopMatrix.identity(ring, n)
         aug = [list(r) for r in ident.rows]
         for s in range(n):
-            piv = _min_valuation_pivot(m, s, rows_only=True)
+            piv = _min_valuation_pivot(m, s, precision, rows_only=True)
             i0, _ = piv
             if i0 != s:
                 m[s], m[i0] = m[i0], m[s]
@@ -216,7 +201,7 @@ class LoopMatrix:
 
     # -- loop-group structure ----------------------------------------------
 
-    def _min_entry_valuation(self) -> int:
+    def _min_entry_valuation(self, precision: int | None) -> int:
         vals = []
         for r in self.rows:
             for e in r:
@@ -226,7 +211,7 @@ class LoopMatrix:
                     raise InsufficientPrecision(
                         "an entry is zero on a window that ends below t^0; "
                         "its pole cannot be bounded",
-                        suggested_precision=2 * DEFAULT_PRECISION,
+                        suggested_precision=2 * (precision or DEFAULT_PRECISION),
                     )
         return min(vals) if vals else 0
 
@@ -234,17 +219,15 @@ class LoopMatrix:
         """Least N with every entry of the loop and of its inverse of
         valuation >= -N."""
         if self._pole_bound is None:
-            v_here = self._min_entry_valuation()
-            v_inv = self.inverse(precision)._min_entry_valuation()
+            v_here = self._min_entry_valuation(precision)
+            v_inv = self.inverse(precision)._min_entry_valuation(precision)
             self._pole_bound = max(0, -v_here, -v_inv)
         return self._pole_bound
 
     def is_positive(self) -> bool:
         """Membership in the positive loop group: pole-free entries and an
         invertible constant-term matrix."""
-        consts = []
         for r in self.rows:
-            row = []
             for e in r:
                 if e.coeffs and e.shift < 0:
                     return False
@@ -253,9 +236,9 @@ class LoopMatrix:
                         "entry window too short to decide positivity",
                         suggested_precision=2 * DEFAULT_PRECISION,
                     )
-                row.append(e.coefficient(0))
-            consts.append(row)
-        return self.ring.is_unit(_scalar_det(self.ring, consts))
+        consts = [[e.truncated(1) for e in r] for r in self.rows]
+        full = tuple(range(self.n))
+        return self.ring.is_unit(_minor(consts, full, full, {}).coefficient(0))
 
     def map_entries(self, fn, ring: Ring) -> "LoopMatrix":
         return LoopMatrix(
@@ -288,7 +271,7 @@ class LoopMatrix:
         return f"LoopMatrix({self.group}, [{body}])"
 
 
-def _min_valuation_pivot(m, s, rows_only=False):
+def _min_valuation_pivot(m, s, precision, rows_only=False):
     """Position (i, j) of the minimal-valuation entry of m[s:][s:], ties to
     the smallest row then column.  Raises when truncation hides the answer."""
     n = len(m)
@@ -314,7 +297,7 @@ def _min_valuation_pivot(m, s, rows_only=False):
     if blocked_end is not None and blocked_end <= best[0]:
         raise InsufficientPrecision(
             "an entry that is zero to its window could still beat the pivot",
-            suggested_precision=2 * DEFAULT_PRECISION,
+            suggested_precision=2 * (precision or DEFAULT_PRECISION),
         )
     return best[1], best[2]
 

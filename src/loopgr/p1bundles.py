@@ -237,13 +237,6 @@ def h0(datum: ModificationDatum, m: int, precision: int | None = None) -> int:
         return 0
     unknowns = n * (deg + 1)
 
-    # factor = prod_j (t - r_j)^{N_j}, the common denominator
-    factor = (ring.one,)
-    for p, nb in zip(datum.points, bounds):
-        lin = poly_trim(ring, (ring.neg(p.r), ring.one))
-        for _ in range(nb):
-            factor = poly_mul(ring, factor, lin)
-
     rows = []
     for i, (p, nb) in enumerate(zip(datum.points, bounds)):
         if nb == 0:
@@ -266,7 +259,7 @@ def h0(datum: ModificationDatum, m: int, precision: int | None = None) -> int:
                     if entry.is_zero_to_precision:
                         continue
                     for k in range(deg + 1):
-                        coeff = _product_coefficient(ring, entry, shifted_pows[k], e)
+                        coeff = _product_coefficient(ring, entry, shifted_pows[k], e, precision)
                         if not ring.is_zero(coeff):
                             row[d * (deg + 1) + k] = coeff
                             nonzero = True
@@ -308,7 +301,7 @@ def _shifted_powers(ring, r, deg, inv_fac):
     return out
 
 
-def _product_coefficient(ring, a: LaurentSeries, b: LaurentSeries, e: int):
+def _product_coefficient(ring, a: LaurentSeries, b: LaurentSeries, e: int, precision):
     """Coefficient of t^e in a*b, reading only the needed diagonal after
     checking that e lies in the provable window of the product."""
     ends = []
@@ -325,7 +318,7 @@ def _product_coefficient(ring, a: LaurentSeries, b: LaurentSeries, e: int):
     if ends and e >= min(ends):
         raise InsufficientPrecision(
             f"coefficient at exponent {e} of a product is outside the provable window",
-            suggested_precision=2 * DEFAULT_PRECISION,
+            suggested_precision=2 * (precision or DEFAULT_PRECISION),
         )
     if not a.coeffs or not b.coeffs:
         return ring.zero
@@ -367,7 +360,7 @@ def _infinity_rows(ring, datum, bounds, binf, m, deg, unknowns, precision):
                 if entry.is_zero_to_precision:
                     continue
                 for k in range(deg + 1):
-                    coeff = _product_coefficient(ring, entry, basis[k], e)
+                    coeff = _product_coefficient(ring, entry, basis[k], e, precision)
                     if not ring.is_zero(coeff):
                         row[d * (deg + 1) + k] = coeff
                         nonzero = True

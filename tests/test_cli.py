@@ -220,6 +220,58 @@ def test_extend_precision_failure_suggests_retry(tmp_path, capsys):
     assert code == 0 and json.loads(out)["reduces_to_input"] is True
 
 
+def test_precision_suggestion_exceeds_precision_in_use(tmp_path, capsys):
+    # the zero entry's window is what is too short, but a retry must still
+    # be offered above the precision in use
+    path = write(tmp_path, "h.json", {"loop": HALF_LOOP})
+    for precision in (16, 1024):
+        code, _, err = run(capsys, ["stratum", path, "--precision", str(precision)])
+        assert code == 3 and "InsufficientPrecision" in err
+        suggested = int(err.rsplit("(suggested precision ", 1)[1].rstrip(")\n"))
+        assert suggested > precision
+
+
+ONE = {"terms": [[0, "1"]]}
+DIAG_DATUM = {"points": ["0"], "loops": [DIAG_LOOP], "infinity_loop": None}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        pytest.param("stratum", {"ring": {"type": "fp", "p": True}, "loop": IDENTITY_LOOP}, id="ring.p"),
+        pytest.param("stratum", {"ring": {"type": "artinian", "m": True}, "loop": IDENTITY_LOOP}, id="ring.m"),
+        pytest.param("stratum", {"loop": {"n": True, "entries": [[ONE]]}}, id="loop.n"),
+        pytest.param(
+            "stratum",
+            {"loop": {"n": 1, "entries": [[{"terms": [[0, "1"]], "precision": True}]]}},
+            id="series.precision",
+        ),
+        pytest.param("stratum", {"loop": {"n": 1, "entries": [[{"terms": [[True, "1"]]}]]}}, id="series.exponent"),
+        pytest.param("expand", {"function": {"num": [[True, "1"]]}, "center": "0"}, id="poly.exponent"),
+        pytest.param(
+            "splitting-type",
+            {"datum": {"points": [], "loops": [], "infinity_loop": None, "n": True}},
+            id="datum.n",
+        ),
+        pytest.param(
+            "lift",
+            {"factorization": {"factors": [{"pos": [True, 2], "param": ONE}]}, "modulus_power": 2},
+            id="factor.pos",
+        ),
+        pytest.param("h0", {"datum": DIAG_DATUM, "m": True}, id="h0.m"),
+        pytest.param(
+            "lift",
+            {"factorization": {"factors": [{"pos": [1, 2], "param": ONE}]}, "modulus_power": True},
+            id="lift.modulus_power",
+        ),
+        pytest.param("extend", {"datum": DIAG_DATUM, "modulus_power": True}, id="extend.modulus_power"),
+    ],
+)
+def test_boolean_is_not_an_int(tmp_path, capsys, command, doc):
+    code, _, err = run(capsys, [command, write(tmp_path, "b.json", doc)])
+    assert code == 2 and "SchemaError" in err
+
+
 def test_exit_code_domain(tmp_path, capsys):
     datum = {"points": ["1", "1"], "loops": [DIAG_LOOP, DIAG_LOOP], "infinity_loop": None}
     path = write(tmp_path, "dup.json", {"datum": datum})

@@ -17,7 +17,11 @@ from loopgr import (
     random_loop,
     random_positive,
 )
-from loopgr.errors import DomainError, SingularToPrecision
+from loopgr.errors import DomainError, InsufficientPrecision, SingularToPrecision
+
+from conftest import _exact_det, rand_exact_series, rand_truncated_series
+
+ORACLE_RINGS = [QQ, PrimeField(10007), ArtinianRing(QQ, 3)]
 
 
 def E12(ring, terms):
@@ -162,3 +166,64 @@ def test_gauss_inverse_larger_matrix():
     m = mat_mul(p, diag)
     inv = m.inverse(12)
     assert mat_mul(m, inv).agrees_with(LoopMatrix.identity(QQ, 4))
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: r.name)
+def test_det_matches_minors_oracle(ring):
+    # the oracle expands along the first row in the same order, so even the
+    # windows of truncated entries must agree exactly
+    rng = random.Random(f"det-oracle:{ring.name}")
+    for n in range(1, 7):
+        for truncated in (False, True):
+            rows = [
+                [
+                    rand_truncated_series(ring, rng, -1, 1, window=6)
+                    if truncated
+                    else rand_exact_series(ring, rng, -1, 1)
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+            assert LoopMatrix(rows).det() == _exact_det(rows)
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: r.name)
+def test_is_positive_matches_constant_term_oracle(ring):
+    rng = random.Random(f"positive-oracle:{ring.name}")
+    seen = set()
+    for n in range(1, 6):
+        for trial in range(12):
+            consts = [[ring.random(rng) for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 0 and n > 1:
+                consts[-1] = list(consts[0])  # singular modulo t
+            if trial % 4 == 1 and not ring.is_field:
+                consts[0] = [ring.mul(ring.gen(), c) for c in consts[0]]  # not a unit
+            rows = []
+            for i in range(n):
+                row = []
+                for j in range(n):
+                    e = LaurentSeries.constant(ring, consts[i][j])
+                    e = e.add(rand_exact_series(ring, rng, 1, 3))
+                    if trial % 2:
+                        e = e.truncated(rng.randint(1, 4))
+                    row.append(e)
+                rows.append(row)
+            if trial % 5 == 4:
+                rows[0][-1] = rows[0][-1].add(LaurentSeries.t_power(ring, -1))
+            pole_free = not any(e.coeffs and e.shift < 0 for r in rows for e in r)
+            constant_rows = [
+                [LaurentSeries.constant(ring, e.coefficient(0)) for e in r] for r in rows
+            ]
+            expected = pole_free and ring.is_unit(
+                _exact_det(constant_rows).coefficient(0)
+            )
+            assert is_positive(LoopMatrix(rows)) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_pole_bound_suggestion_exceeds_precision_in_use():
+    m = LoopMatrix([[LaurentSeries.zero(QQ, -1)]])
+    with pytest.raises(InsufficientPrecision) as exc:
+        m.pole_bound(1024)
+    assert exc.value.suggested_precision > 1024

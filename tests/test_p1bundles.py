@@ -27,7 +27,8 @@ from loopgr import (
     strata_of,
     stratum,
 )
-from loopgr.errors import DomainError, MarkedPointError
+from loopgr.errors import DomainError, InsufficientPrecision, MarkedPointError
+from loopgr.p1bundles import _product_coefficient
 
 from conftest import rand_exact_series
 
@@ -310,3 +311,12 @@ def test_datum_validation():
         ModificationDatum.at_points(QQ, ["0"], [LoopMatrix.identity(QQ, 1)]).with_infinity(
             LoopMatrix.identity(QQ, 2)
         )
+
+
+def test_product_coefficient_suggestion_exceeds_precision_in_use():
+    a = LaurentSeries.from_terms(QQ, [(0, 1)], 4)
+    b = LaurentSeries.one(QQ)
+    assert QQ.eq(_product_coefficient(QQ, a, b, 0, 1024), QQ.one)
+    with pytest.raises(InsufficientPrecision) as exc:
+        _product_coefficient(QQ, a, b, 4, 1024)
+    assert exc.value.suggested_precision > 1024
