@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from pathlib import Path
 
 from . import cartan, factorization, jsonio, p1bundles
 from .errors import Error, SchemaError
@@ -22,7 +23,7 @@ MAX_PRECISION = 4096
 
 def _load(path: str):
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
     except OSError as exc:
         raise SchemaError(f"cannot read input: {exc}") from exc
     try:
@@ -291,12 +292,12 @@ def main(argv=None) -> int:
 def _run_batch(args) -> int:
     path = args.batch_file or args.input
     try:
-        lines = sys.stdin.read().splitlines() if path == "-" else open(path).read().splitlines()
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
     except OSError as exc:
         print(f"error[SchemaError]: cannot read batch file: {exc}", file=sys.stderr)
         return 2
     status = 0
-    for index, line in enumerate(lines):
+    for index, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
         try:

@@ -145,12 +145,12 @@ class LoopMatrix:
         if key in self._inverse:
             return self._inverse[key]
         ring = self.ring
-        d = self.det()
-        if d.is_zero_to_precision:
-            raise SingularToPrecision(
-                "determinant vanishes on its whole known window"
-            )
         if self.n <= 3:
+            d = self.det()
+            if d.is_zero_to_precision:
+                raise SingularToPrecision(
+                    "determinant vanishes on its whole known window"
+                )
             inv_det = d.invert(precision)
             full = tuple(range(self.n))
             without = [full[:k] + full[k + 1 :] for k in full]

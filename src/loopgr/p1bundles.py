@@ -170,31 +170,27 @@ def _divide_linear(ring, poly, r):
 
 
 def _rank(ring, rows) -> int:
+    """Rank by forward elimination; only the entries right of each pivot
+    column are updated, since nothing to their left is read again."""
     rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+    ncols = len(rows[0]) if rows else 0
     rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if not ring.is_zero(rows[i][col]):
-                pivot = i
-                break
+    for col in range(ncols):
+        if rank == len(rows):
+            break
+        pivot = next((i for i in range(rank, len(rows)) if not ring.is_zero(rows[i][col])), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = ring.inv(rows[rank][col])
-        rows[rank] = [ring.mul(inv, x) for x in rows[rank]]
-        for i in range(len(rows)):
-            if i == rank or ring.is_zero(rows[i][col]):
+        top = rows[rank]
+        inv = ring.inv(top[col])
+        for row in rows[rank + 1 :]:
+            if ring.is_zero(row[col]):
                 continue
-            c = rows[i][col]
-            rows[i] = [ring.sub(x, ring.mul(c, y)) for x, y in zip(rows[i], rows[rank])]
+            c = ring.mul(row[col], inv)
+            for j in range(col + 1, ncols):
+                row[j] = ring.sub(row[j], ring.mul(c, top[j]))
         rank += 1
-        col += 1
     return rank
 
 
@@ -235,70 +231,70 @@ def h0(datum: ModificationDatum, m: int, precision: int | None = None) -> int:
     deg = m + total + binf
     if deg < 0:
         return 0
-    unknowns = n * (deg + 1)
-
+    work = precision or DEFAULT_PRECISION
     rows = []
     for i, (p, nb) in enumerate(zip(datum.points, bounds)):
         if nb == 0:
             continue
-        need = nb + 1
-        inv_fac = _shifted_factor_inverse(ring, datum.points, bounds, i, need)
-        alpha_inv = datum.loops[i].inverse(max(precision or DEFAULT_PRECISION, 2 * nb + 2))
-        # basis series for t^k at this point: (t + r_i)^k * inv_fac
-        shifted_pows = _shifted_powers(ring, p.r, deg, inv_fac)
-        for c in range(n):
-            row_entries = []
-            for d in range(n):
-                entry = alpha_inv.entry(c, d)
-                row_entries.append(entry)
-            for e in range(-2 * nb, 0):
-                row = [ring.zero] * unknowns
-                nonzero = False
-                for d in range(n):
-                    entry = row_entries[d]
-                    if entry.is_zero_to_precision:
-                        continue
-                    for k in range(deg + 1):
-                        coeff = _product_coefficient(ring, entry, shifted_pows[k], e, precision)
-                        if not ring.is_zero(coeff):
-                            row[d * (deg + 1) + k] = coeff
-                            nonzero = True
-                if nonzero:
-                    rows.append(row)
+        # t^k / prod_j (t - r_j)^{N_j} at r_i is (t + r_i)^k * local, where
+        # local = t^{-N_i} / prod_{j != i} (t + r_i - r_j)^{N_j}
+        others = [
+            ((ring.sub(p.r, q.r), ring.one), nq)
+            for j, (q, nq) in enumerate(zip(datum.points, bounds))
+            if j != i
+        ]
+        basis = [_reciprocal(ring, others, 2 * nb + 2).shifted(-nb)]
+        lin = LaurentSeries.from_terms(ring, [(0, p.r), (1, ring.one)])
+        for _ in range(deg):
+            basis.append(basis[-1].mul(lin))
+        alpha_inv = datum.loops[i].inverse(max(work, 2 * nb + 2))
+        rows.extend(_condition_rows(ring, alpha_inv, basis, range(-2 * nb, 0), precision))
 
     if datum.infinity_loop is not None:
+        # in s = 1/t, t^k / prod_j (t - r_j)^{N_j} is
+        # s^{total - k} / prod_j (1 - r_j s)^{N_j}
+        inv_denom = _reciprocal(
+            ring,
+            [((ring.one, ring.neg(q.r)), nq) for q, nq in zip(datum.points, bounds)],
+            2 * binf + 4,
+        )
+        basis = [inv_denom.shifted(total - k) for k in range(deg + 1)]
+        alpha_inv = datum.infinity_loop.inverse(max(work, 2 * binf + abs(m) + 2))
         rows.extend(
-            _infinity_rows(ring, datum, bounds, binf, m, deg, unknowns, precision)
+            _condition_rows(ring, alpha_inv, basis, range(-m - 2 * binf, -m), precision)
         )
 
-    return unknowns - _rank(ring, rows)
+    return n * (deg + 1) - _rank(ring, rows)
 
 
-def _shifted_factor_inverse(ring, points, bounds, i, need):
-    """Expansion at point i of 1/prod_j (t - r_j)^{N_j}: a Laurent series
-    with valuation -N_i, computed on a window of length `need` + N_i."""
-    r_i = points[i].r
-    unit = (ring.one,)
-    for j, (p, nb) in enumerate(zip(points, bounds)):
-        if j == i:
-            continue
-        lin = poly_trim(ring, (ring.sub(r_i, p.r), ring.one))
-        for _ in range(nb):
-            unit = poly_mul(ring, unit, lin)
-    n_i = bounds[i]
-    unit_series = LaurentSeries.make(ring, 0, unit, None)
-    window = need + n_i + 1
-    return unit_series.invert(window).shifted(-n_i)
+def _reciprocal(ring, factors, window):
+    """Expansion at 0 of 1 / prod f^k over the (polynomial f, power k) pairs
+    in `factors`; f(0) must be a unit.  Exact when the product is constant,
+    else on a window of length `window`."""
+    prod = (ring.one,)
+    for f, k in factors:
+        for _ in range(k):
+            prod = poly_mul(ring, prod, f)
+    return LaurentSeries.make(ring, 0, prod, None).invert(window)
 
 
-def _shifted_powers(ring, r, deg, inv_fac):
-    """Laurent expansions of t^k / prod (t - r_j)^{N_j} at the point r for
-    k = 0..deg, i.e. (t + r)^k * inv_fac."""
-    out = [inv_fac]
-    lin = LaurentSeries.from_terms(ring, [(0, r), (1, ring.one)])
-    for _ in range(deg):
-        out.append(out[-1].mul(lin))
-    return out
+def _condition_rows(ring, alpha_inv, basis, exps, precision):
+    """One row per (c, e): the coefficient of t^e in component c of
+    alpha_inv * v, as a linear form in the unknowns; column d * len(basis) + k
+    multiplies basis[k] in component d of v.  Only exactly zero entries are
+    skipped, so an entry that is zero on its window still has that window
+    checked by `_product_coefficient`."""
+    n, width = alpha_inv.n, len(basis)
+    for c in range(n):
+        entries = [alpha_inv.entry(c, d) for d in range(n)]
+        for e in exps:
+            row = [ring.zero] * (n * width)
+            for d, entry in enumerate(entries):
+                if entry.is_exact_zero:
+                    continue
+                for k, b in enumerate(basis):
+                    row[d * width + k] = _product_coefficient(ring, entry, b, e, precision)
+            yield row
 
 
 def _product_coefficient(ring, a: LaurentSeries, b: LaurentSeries, e: int, precision):
@@ -328,45 +324,6 @@ def _product_coefficient(ring, a: LaurentSeries, b: LaurentSeries, e: int, preci
     for i in range(lo, hi + 1):
         acc = ring.add(acc, ring.mul(a.coeffs[i - a.shift], b.coeffs[e - i - b.shift]))
     return acc
-
-
-def _infinity_rows(ring, datum, bounds, binf, m, deg, unknowns, precision):
-    """Condition rows at infinity: coefficients of s^e, e < -m, of
-    alpha_inf^{-1} * v(1/s) must vanish."""
-    n = datum.n
-    total = sum(bounds)
-    denom = (ring.one,)
-    for p, nb in zip(datum.points, bounds):
-        lin = poly_trim(ring, (ring.one, ring.neg(p.r)))  # 1 - r*s
-        for _ in range(nb):
-            denom = poly_mul(ring, denom, lin)
-    denom_series = LaurentSeries.make(ring, 0, denom, None)
-    window = 2 * binf + 4
-    inv_denom = denom_series.invert(window)
-    alpha_inv = datum.infinity_loop.inverse(
-        max(precision or DEFAULT_PRECISION, 2 * binf + abs(m) + 2)
-    )
-    # v_d = t^k -> s^(total - k) * inv_denom in the coordinate s
-    basis = {}
-    for k in range(deg + 1):
-        basis[k] = inv_denom.shifted(total - k)
-    rows = []
-    for c in range(n):
-        for e in range(-m - 2 * binf, -m):
-            row = [ring.zero] * unknowns
-            nonzero = False
-            for d in range(n):
-                entry = alpha_inv.entry(c, d)
-                if entry.is_zero_to_precision:
-                    continue
-                for k in range(deg + 1):
-                    coeff = _product_coefficient(ring, entry, basis[k], e, precision)
-                    if not ring.is_zero(coeff):
-                        row[d * (deg + 1) + k] = coeff
-                        nonzero = True
-            if nonzero:
-                rows.append(row)
-    return rows
 
 
 def splitting_type(datum: ModificationDatum, precision: int | None = None) -> SplittingType:

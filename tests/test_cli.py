@@ -206,6 +206,23 @@ def test_exit_code_precision(tmp_path, capsys):
     assert "(suggested precision " in err2
 
 
+def test_h0_zero_to_precision_entry_is_not_read_as_zero(tmp_path, capsys):
+    # [[t^2, O(t^0)], [0, t^-2]] at 0: h0(-1) is 0, 1 or 2 depending on the
+    # hidden entry, so no count may be reported
+    loop = {
+        "n": 2,
+        "entries": [
+            [{"terms": [[2, "1"]]}, {"terms": [], "precision": 0}],
+            [{"terms": []}, {"terms": [[-2, "1"]]}],
+        ],
+        "group": "GL",
+    }
+    datum = {"points": ["0"], "loops": [loop], "infinity_loop": None}
+    path = write(tmp_path, "z.json", {"datum": datum, "m": -1})
+    code, out, err = run(capsys, ["h0", path])
+    assert code == 3 and out == "" and "InsufficientPrecision" in err
+
+
 def test_extend_precision_failure_suggests_retry(tmp_path, capsys):
     from loopgr import jsonio
 

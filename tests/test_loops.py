@@ -68,6 +68,22 @@ def test_inverse_singular():
     m = LoopMatrix([[zero, zero], [zero, zero]])
     with pytest.raises(SingularToPrecision):
         m.inverse()
+    # rank 4 goes through elimination, which runs out of pivots
+    rows = [list(r) for r in random_loop(4, 1, 0).rows]
+    rows[3] = rows[1]
+    with pytest.raises(SingularToPrecision):
+        LoopMatrix(rows).inverse()
+
+
+def test_truncated_rank4_inverse_needs_no_determinant():
+    # the cofactor determinant of this loop is O(t^0), but elimination
+    # certifies every pivot, and its inverse agrees with the exact one
+    g = random_loop(4, 1, 0)
+    tr = LoopMatrix([[e.truncated(3) for e in r] for r in g.rows])
+    assert tr.det().is_zero_to_precision
+    inv = tr.inverse()
+    assert inv.agrees_with(g.inverse())
+    assert mat_mul(tr, inv).agrees_with(LoopMatrix.identity(QQ, 4))
 
 
 def test_pole_bound_examples():

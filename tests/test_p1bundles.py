@@ -313,6 +313,37 @@ def test_datum_validation():
         )
 
 
+# [[t^2, a], [0, t^-2]]: its inverse has the entry -a, which meets the basis
+# of sections below t^0, so an a that is zero only on a short window cannot
+# be read as zero; exact 0 and 1 are the controls
+CERTIFIED_ENTRIES = [
+    pytest.param(LaurentSeries.zero(QQ, 0), None, id="O(t^0)"),
+    pytest.param(LaurentSeries.zero(QQ, 1), None, id="O(t^1)"),
+    pytest.param(LaurentSeries.zero(QQ, 3), (2, -2), id="O(t^3)"),
+    pytest.param(LaurentSeries.zero(QQ), (2, -2), id="0"),
+    pytest.param(LaurentSeries.one(QQ), (0, 0), id="1"),
+]
+
+
+@pytest.mark.parametrize("at_infinity", [False, True], ids=["point", "infinity"])
+@pytest.mark.parametrize("entry, expected", CERTIFIED_ENTRIES)
+def test_zero_to_precision_entry_is_certified(entry, expected, at_infinity):
+    loop = LoopMatrix(
+        [
+            [LaurentSeries.t_power(QQ, 2), entry],
+            [LaurentSeries.zero(QQ), LaurentSeries.t_power(QQ, -2)],
+        ]
+    )
+    d = ModificationDatum(QQ, 2, (), (), loop) if at_infinity else one_point(loop)
+    if expected is None:
+        with pytest.raises(InsufficientPrecision):
+            h0(d, -1)
+        with pytest.raises(InsufficientPrecision):
+            splitting_type(d)
+    else:
+        assert splitting_type(d).a == expected
+
+
 def test_product_coefficient_suggestion_exceeds_precision_in_use():
     a = LaurentSeries.from_terms(QQ, [(0, 1)], 4)
     b = LaurentSeries.one(QQ)
