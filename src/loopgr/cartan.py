@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InsufficientPrecision
-from .loops import LoopMatrix, _min_valuation_pivot, monomial_loop
-from .series import DEFAULT_PRECISION, LaurentSeries
+from .loops import LoopMatrix, _min_valuation_pivot
 
 
 @dataclass(frozen=True)
@@ -103,19 +102,12 @@ class CartanFactorization:
     cocharacter: Cocharacter
     right: LoopMatrix
 
-    def monomial(self) -> LoopMatrix:
-        return monomial_loop(self.left.ring, self.cocharacter.entries)
-
     def product(self) -> LoopMatrix:
-        return self.left.mat_mul(self.monomial()).mat_mul(self.right)
-
-
-def _reversal(ring, n: int) -> LoopMatrix:
-    one = LaurentSeries.one(ring)
-    zero = LaurentSeries.zero(ring, None)
-    return LoopMatrix(
-        [[one if j == n - 1 - i else zero for j in range(n)] for i in range(n)]
-    )
+        """left * t^lam * right: column j of left shifted by lam_j, then one
+        loop product."""
+        lam = self.cocharacter.entries
+        scaled = LoopMatrix([[e.shifted(k) for e, k in zip(r, lam)] for r in self.left.rows])
+        return scaled.mat_mul(self.right)
 
 
 def smith_normal_form(a: LoopMatrix, precision: int | None = None) -> CartanFactorization:
@@ -171,35 +163,34 @@ def smith_normal_form(a: LoopMatrix, precision: int | None = None) -> CartanFact
                 row[j] = row[j].sub(row[s].mul(q))
             v[s] = [x.add(q.mul(y)) for x, y in zip(v[s], v[j])]
         divisors.append(val)
-    lam = Cocharacter(tuple(reversed(divisors)))
-    rev = _reversal(ring, n)
-    left = LoopMatrix(u).mat_mul(rev)
-    right = rev.mat_mul(LoopMatrix(v))
-    _certify(a, left, lam, right, precision)
-    fact = CartanFactorization(left, lam, right)
+    # the divisors come out ascending; reversing the order of the columns of
+    # u and of the rows of v makes lam dominant
+    fact = CartanFactorization(
+        LoopMatrix([r[::-1] for r in u]),
+        Cocharacter(tuple(reversed(divisors))),
+        LoopMatrix(v[::-1]),
+    )
+    _certify(a, fact, precision)
     return fact
 
 
-def _certify(a, left, lam, right, precision):
-    suggested = 2 * (precision if precision is not None else DEFAULT_PRECISION)
-    if not (left.is_positive() and right.is_positive()):
+def _certify(a, fact, precision):
+    if not (fact.left.is_positive() and fact.right.is_positive()):
         raise InsufficientPrecision(
             "reduction produced non-positive transforms; refine the input windows",
-            suggested_precision=suggested,
+            precision,
         )
-    product = left.mat_mul(monomial_loop(a.ring, lam.entries)).mat_mul(right)
-    for pr, ar in zip(product.rows, a.rows):
+    for pr, ar in zip(fact.product().rows, a.rows):
         for pe, ae in zip(pr, ar):
             res = pe.sub(ae)
             if not res.is_zero_to_precision:
                 raise InsufficientPrecision(
                     "reconstruction residual does not vanish on the certified window",
-                    suggested_precision=suggested,
+                    precision,
                 )
             if res.known_end is not None and res.known_end < 1:
                 raise InsufficientPrecision(
-                    "certified window too short to trust the reduction",
-                    suggested_precision=suggested,
+                    "certified window too short to trust the reduction", precision
                 )
 
 

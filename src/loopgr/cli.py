@@ -14,18 +14,21 @@ import sys
 from pathlib import Path
 
 from . import cartan, factorization, jsonio, p1bundles
-from .errors import Error, SchemaError
+from .errors import MAX_PRECISION, Error, SchemaError, UndetectableValuation
 from .rings import ArtinianRing
-from .series import DEFAULT_PRECISION, LaurentSeries
+from .series import LaurentSeries
 
-MAX_PRECISION = 4096
+
+def _read(path: str, what: str) -> str:
+    """The text of a file, or of stdin when path is "-"."""
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except OSError as exc:
+        raise SchemaError(f"cannot read {what}: {exc}") from exc
 
 
 def _load(path: str):
-    try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    except OSError as exc:
-        raise SchemaError(f"cannot read input: {exc}") from exc
+    text = _read(path, "input")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -130,6 +133,8 @@ def _cmd_glue(doc, precision, seed):
     )
     bounds = [lp.pole_bound(precision) for lp in loops]
     det_vals = [lp.det().valuation for lp in loops]
+    if None in det_vals:
+        raise UndetectableValuation("a loop determinant is zero on its whole known window")
     out = {
         "datum": jsonio.datum_to_json(datum),
         "pole_bounds": bounds,
@@ -257,9 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--precision", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--batch", dest="batch_file", default=None, help="file of JSON-lines commands"
-    )
     return parser
 
 
@@ -273,7 +275,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         precision = _working_precision(args.precision, "--precision")
-        if args.command == "batch" or args.batch_file:
+        if args.command == "batch":
             return _run_batch(args)
         doc = _load(args.input)
         out, text = _run_one(args.command, doc, precision, args.seed)
@@ -290,14 +292,8 @@ def main(argv=None) -> int:
 
 
 def _run_batch(args) -> int:
-    path = args.batch_file or args.input
-    try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    except OSError as exc:
-        print(f"error[SchemaError]: cannot read batch file: {exc}", file=sys.stderr)
-        return 2
     status = 0
-    for index, line in enumerate(text.splitlines()):
+    for index, line in enumerate(_read(args.input, "batch file").splitlines()):
         if not line.strip():
             continue
         try:

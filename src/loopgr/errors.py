@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+DEFAULT_PRECISION = 16  # working precision of a call that names none
+MAX_PRECISION = 4096  # largest working precision accepted or suggested
+
 
 class Error(Exception):
     """Base class for all loopgr errors."""
@@ -31,11 +34,14 @@ class UndetectableValuation(PrecisionError):
 
 
 class InsufficientPrecision(PrecisionError):
-    """Retryable precision failure; carries a suggested retry precision."""
+    """Retryable precision failure.  The suggested retry precision is twice
+    the precision in use (DEFAULT_PRECISION when None), and None when that
+    would exceed MAX_PRECISION."""
 
-    def __init__(self, message: str, suggested_precision: int | None = None):
+    def __init__(self, message: str, precision: int | None = None):
         super().__init__(message)
-        self.suggested_precision = suggested_precision
+        suggested = 2 * (precision or DEFAULT_PRECISION)
+        self.suggested_precision = suggested if suggested <= MAX_PRECISION else None
 
 
 class UnboundedPole(PrecisionError):

@@ -20,7 +20,7 @@ from .errors import DomainError, InsufficientPrecision
 from .loops import LoopMatrix, elementary_loop
 from .p1bundles import MarkedPoint, ModificationDatum
 from .rings import ArtinianRing, Ring
-from .series import DEFAULT_PRECISION, LaurentSeries
+from .series import LaurentSeries
 
 _POSITIONS = ((1, 2), (2, 1))
 
@@ -94,10 +94,7 @@ def factor_elementary(m: LoopMatrix, precision: int | None = None) -> Factorizat
     factors = _factor(m, precision, depth=0)
     out = Factorization(ring, tuple(f for f in factors if not f.parameter.is_exact_zero))
     if len(out) > 8:
-        raise InsufficientPrecision(
-            "factorization exceeded the factor bound",
-            suggested_precision=2 * (precision or DEFAULT_PRECISION),
-        )
+        raise InsufficientPrecision("factorization exceeded the factor bound", precision)
     return out
 
 
@@ -123,8 +120,7 @@ def _factor(m: LoopMatrix, precision, depth: int) -> list[ElementaryFactor]:
     if c.is_zero_to_precision and _unit_entry(b):
         if depth >= 2:
             raise InsufficientPrecision(
-                "cannot certify a unit pivot after premultiplication",
-                suggested_precision=2 * (precision or DEFAULT_PRECISION),
+                "cannot certify a unit pivot after premultiplication", precision
             )
         shear = elementary_loop(ring, 2, 1, 0, one)  # E21(1)
         rest = _factor(shear.mat_mul(m), precision, depth + 1)
@@ -139,8 +135,7 @@ def _factor(m: LoopMatrix, precision, depth: int) -> list[ElementaryFactor]:
             ElementaryFactor((1, 2), one.sub(u_inv)),
         ]
     raise InsufficientPrecision(
-        "no entry with certifiable valuation to pivot the factorization",
-        suggested_precision=2 * (precision or DEFAULT_PRECISION),
+        "no entry with certifiable valuation to pivot the factorization", precision
     )
 
 
@@ -240,8 +235,7 @@ def extend_point(
         if det.is_zero_to_precision and not det.is_exact:
             # truncated factor parameters cancel the whole determinant window
             raise InsufficientPrecision(
-                "a lifted loop's determinant vanishes on its known window",
-                suggested_precision=2 * (precision or DEFAULT_PRECISION),
+                "a lifted loop's determinant vanishes on its known window", precision
             )
         lifted_loops.append(lifted)
     inf_loop = lifted_loops.pop() if datum.infinity_loop is not None else None

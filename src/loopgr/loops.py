@@ -202,18 +202,14 @@ class LoopMatrix:
     # -- loop-group structure ----------------------------------------------
 
     def _min_entry_valuation(self, precision: int | None) -> int:
-        vals = []
-        for r in self.rows:
-            for e in r:
-                if e.coeffs:
-                    vals.append(e.shift)
-                elif e.known_end is not None and e.known_end < 0:
-                    raise InsufficientPrecision(
-                        "an entry is zero on a window that ends below t^0; "
-                        "its pole cannot be bounded",
-                        suggested_precision=2 * (precision or DEFAULT_PRECISION),
-                    )
-        return min(vals) if vals else 0
+        best, end = _least_valuation([e for r in self.rows for e in r])
+        if end is not None and end < 0:
+            raise InsufficientPrecision(
+                "an entry is zero on a window that ends below t^0; "
+                "its pole cannot be bounded",
+                precision,
+            )
+        return best[0] if best is not None else 0
 
     def pole_bound(self, precision: int | None = None) -> int:
         """Least N with every entry of the loop and of its inverse of
@@ -227,15 +223,11 @@ class LoopMatrix:
     def is_positive(self) -> bool:
         """Membership in the positive loop group: pole-free entries and an
         invertible constant-term matrix."""
-        for r in self.rows:
-            for e in r:
-                if e.coeffs and e.shift < 0:
-                    return False
-                if not e.coeffs and e.known_end is not None and e.known_end < 1:
-                    raise InsufficientPrecision(
-                        "entry window too short to decide positivity",
-                        suggested_precision=2 * DEFAULT_PRECISION,
-                    )
+        best, end = _least_valuation([e for r in self.rows for e in r])
+        if best is not None and best[0] < 0:
+            return False
+        if end is not None and end < 1:
+            raise InsufficientPrecision("entry window too short to decide positivity")
         consts = [[e.truncated(1) for e in r] for r in self.rows]
         full = tuple(range(self.n))
         return self.ring.is_unit(_minor(consts, full, full, {}).coefficient(0))
@@ -271,35 +263,41 @@ class LoopMatrix:
         return f"LoopMatrix({self.group}, [{body}])"
 
 
+def _least_valuation(entries):
+    """One scan for the valuation questions of certification.
+
+    Returns (best, end).  best is (v, k): v is the least valuation among the
+    entries with a known nonzero coefficient and k the index of the first
+    entry having it; None when there is no such entry.  end is the least
+    window end among the entries that are zero on their window, None when
+    there is none; such an entry may hide any valuation >= end.
+    """
+    best = end = None
+    for k, e in enumerate(entries):
+        if e.coeffs:
+            if best is None or e.shift < best[0]:
+                best = (e.shift, k)
+        elif e.known_end is not None and (end is None or e.known_end < end):
+            end = e.known_end
+    return best, end
+
+
 def _min_valuation_pivot(m, s, precision, rows_only=False):
     """Position (i, j) of the minimal-valuation entry of m[s:][s:], ties to
     the smallest row then column.  Raises when truncation hides the answer."""
-    n = len(m)
-    best = None
-    blocked_end = None
-    cols = [s] if rows_only else range(s, n)
-    for i in range(s, n):
-        for j in cols:
-            e = m[i][j]
-            if e.coeffs:
-                if best is None or e.shift < best[0]:
-                    best = (e.shift, i, j)
-            elif e.known_end is not None:
-                blocked_end = (
-                    e.known_end
-                    if blocked_end is None
-                    else min(blocked_end, e.known_end)
-                )
+    cols = [s] if rows_only else range(s, len(m))
+    cells = [(i, j) for i in range(s, len(m)) for j in cols]
+    best, end = _least_valuation([m[i][j] for i, j in cells])
     if best is None:
         raise SingularToPrecision(
             "no pivot: the remaining block vanishes on its known windows"
         )
-    if blocked_end is not None and blocked_end <= best[0]:
+    if end is not None and end <= best[0]:
         raise InsufficientPrecision(
             "an entry that is zero to its window could still beat the pivot",
-            suggested_precision=2 * (precision or DEFAULT_PRECISION),
+            precision,
         )
-    return best[1], best[2]
+    return cells[best[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,9 @@ class ModificationDatum:
             if lp.n != self.n:
                 raise DomainError("loop size does not match the datum rank")
             lp.ring.require_same(self.ring)
-            if lp.det().is_zero_to_precision:
+            # a determinant zero only on its window does not prove the loop
+            # singular; inverse() decides that with its own pivots
+            if lp.det().is_exact_zero:
                 raise DomainError("every loop must be invertible to precision")
 
     @classmethod
@@ -300,21 +302,11 @@ def _condition_rows(ring, alpha_inv, basis, exps, precision):
 def _product_coefficient(ring, a: LaurentSeries, b: LaurentSeries, e: int, precision):
     """Coefficient of t^e in a*b, reading only the needed diagonal after
     checking that e lies in the provable window of the product."""
-    ends = []
-    if a.known_end is not None:
-        vb = b.valuation_lower_bound()
-        if vb is None:
-            return ring.zero
-        ends.append(a.known_end + vb)
-    if b.known_end is not None:
-        va = a.valuation_lower_bound()
-        if va is None:
-            return ring.zero
-        ends.append(b.known_end + va)
-    if ends and e >= min(ends):
+    end = a.product_end(b)
+    if end is not None and e >= end:
         raise InsufficientPrecision(
             f"coefficient at exponent {e} of a product is outside the provable window",
-            suggested_precision=2 * (precision or DEFAULT_PRECISION),
+            precision,
         )
     if not a.coeffs or not b.coeffs:
         return ring.zero

@@ -18,6 +18,7 @@ expansion is requested.
 from __future__ import annotations
 
 from .errors import (
+    DEFAULT_PRECISION,
     DomainError,
     InsufficientPrecision,
     NonUnitLeading,
@@ -25,8 +26,6 @@ from .errors import (
     ZeroToPrecision,
 )
 from .rings import Ring
-
-DEFAULT_PRECISION = 16
 
 
 def _min_end(*ends):
@@ -207,7 +206,7 @@ class LaurentSeries:
             window = self.known_end - self.shift if self.coeffs else 0
             raise InsufficientPrecision(
                 f"coefficient at t^{e} is beyond the known window (< t^{self.known_end})",
-                suggested_precision=2 * max(window, DEFAULT_PRECISION),
+                max(window, DEFAULT_PRECISION),
             )
         i = e - self.shift
         if self.coeffs and 0 <= i < len(self.coeffs):
@@ -250,17 +249,25 @@ class LaurentSeries:
     def sub(self, other: "LaurentSeries") -> "LaurentSeries":
         return self.add(other.neg())
 
+    def product_end(self, other: "LaurentSeries") -> int | None:
+        """End of the known window of self * other: each operand's window
+        end plus the other operand's valuation lower bound.  None means the
+        product is exact, as it is when an operand is exactly zero."""
+        va = self.valuation_lower_bound()
+        vb = other.valuation_lower_bound()
+        if va is None or vb is None:
+            return None
+        return _min_end(
+            None if self.known_end is None else self.known_end + vb,
+            None if other.known_end is None else other.known_end + va,
+        )
+
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
         self.ring.require_same(other.ring)
         ring = self.ring
         if self.is_exact_zero or other.is_exact_zero:
             return LaurentSeries.make(ring, 0, (), None)
-        va = self.valuation_lower_bound()
-        vb = other.valuation_lower_bound()
-        end = _min_end(
-            None if self.known_end is None else self.known_end + vb,
-            None if other.known_end is None else other.known_end + va,
-        )
+        end = self.product_end(other)
         if not self.coeffs or not other.coeffs:
             return LaurentSeries.make(ring, 0, (), end)
         shift = self.shift + other.shift

@@ -248,6 +248,42 @@ def test_precision_suggestion_exceeds_precision_in_use(tmp_path, capsys):
         assert suggested > precision
 
 
+def test_no_suggestion_above_the_precision_cap(tmp_path, capsys):
+    path = write(tmp_path, "h.json", {"loop": HALF_LOOP})
+    code, _, err = run(capsys, ["stratum", path, "--precision", "4096"])
+    assert code == 3 and "InsufficientPrecision" in err
+    assert "(suggested precision" not in err
+    entry = {"command": "stratum", "input": {"loop": HALF_LOOP}, "precision": 4096}
+    p = tmp_path / "batch.jsonl"
+    p.write_text(json.dumps(entry) + "\n")
+    code, out, _ = run(capsys, ["batch", str(p)])
+    row = json.loads(out)
+    assert code == 3 and row["error"] == "InsufficientPrecision"
+    assert "suggested_precision" not in row
+
+
+def test_glue_unknown_determinant_valuation(tmp_path, capsys):
+    from loopgr import jsonio, random_loop, LoopMatrix
+
+    g = random_loop(4, 1, 0)
+    tr = LoopMatrix([[e.truncated(3) for e in r] for r in g.rows])
+    datum = {"points": ["0"], "loops": [jsonio.loop_to_json(tr)], "infinity_loop": None}
+    code, out, err = run(capsys, ["glue", write(tmp_path, "g.json", {"datum": datum})])
+    assert code == 3 and out == "" and "UndetectableValuation" in err
+
+
+def test_batch_is_a_command_not_an_option(tmp_path, capsys):
+    p = tmp_path / "batch.jsonl"
+    p.write_text(json.dumps({"command": "stratum", "input": {"loop": IDENTITY_LOOP}}) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["stratum", "--batch", str(p)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, ["batch", str(tmp_path / "missing.jsonl")])
+    assert code == 2 and out == ""
+    assert err.startswith("error[SchemaError]: cannot read batch file: ")
+
+
 ONE = {"terms": [[0, "1"]]}
 DIAG_DATUM = {"points": ["0"], "loops": [DIAG_LOOP], "infinity_loop": None}
 

@@ -18,6 +18,7 @@ from loopgr import (
     random_positive,
 )
 from loopgr.errors import DomainError, InsufficientPrecision, SingularToPrecision
+from loopgr.loops import _min_valuation_pivot
 
 from conftest import _exact_det, rand_exact_series, rand_truncated_series
 
@@ -102,6 +103,29 @@ def test_is_positive_examples():
     # pole-free but singular constant term
     n = LoopMatrix.from_rows(QQ, [[[(1, 1)], 1], [[(1, 1)], 1]])
     assert not is_positive(n)
+
+
+def test_is_positive_does_not_depend_on_entry_order():
+    # a known pole decides, whatever entry hides a window that ends at t^0
+    hidden, pole, one = LaurentSeries.zero(QQ, 0), LaurentSeries.t_power(QQ, -1), LaurentSeries.one(QQ)
+    assert not is_positive(LoopMatrix([[hidden, pole], [one, one]]))
+    assert not is_positive(LoopMatrix([[pole, hidden], [one, one]]))
+    with pytest.raises(InsufficientPrecision):
+        is_positive(LoopMatrix([[hidden, one], [one, one]]))
+
+
+def test_min_valuation_pivot_ties_and_hidden_entries():
+    t1, t2, t3 = (LaurentSeries.t_power(QQ, k) for k in (1, 2, 3))
+    m = [[t2, t1], [t1, t3]]
+    assert _min_valuation_pivot(m, 0, None) == (0, 1)  # ties go to the first row
+    assert _min_valuation_pivot(m, 0, None, rows_only=True) == (1, 0)
+    # an entry zero on a window that ends at the pivot valuation may tie it
+    m[1][1] = LaurentSeries.zero(QQ, 1)
+    with pytest.raises(InsufficientPrecision) as exc:
+        _min_valuation_pivot(m, 0, 24)
+    assert exc.value.suggested_precision == 48
+    m[1][1] = LaurentSeries.zero(QQ, 2)
+    assert _min_valuation_pivot(m, 0, None) == (0, 1)
 
 
 def test_sl_flag_checked():

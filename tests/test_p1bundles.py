@@ -344,6 +344,24 @@ def test_zero_to_precision_entry_is_certified(entry, expected, at_infinity):
         assert splitting_type(d).a == expected
 
 
+def test_datum_rejects_only_exactly_singular_loops():
+    # the cofactor determinant of this truncated loop is O(t^0), but its
+    # inverse is certified, so the datum builds and the section counts
+    # report the short window instead of a domain error
+    g = random_loop(4, 1, 0)
+    tr = LoopMatrix([[e.truncated(3) for e in r] for r in g.rows])
+    assert tr.det().is_zero_to_precision
+    d = one_point(tr)
+    with pytest.raises(InsufficientPrecision):
+        h0(d, 0)
+    with pytest.raises(InsufficientPrecision):
+        splitting_type(d)
+    rows = [list(r) for r in g.rows]
+    rows[3] = rows[1]
+    with pytest.raises(DomainError):
+        one_point(LoopMatrix(rows))
+
+
 def test_product_coefficient_suggestion_exceeds_precision_in_use():
     a = LaurentSeries.from_terms(QQ, [(0, 1)], 4)
     b = LaurentSeries.one(QQ)

@@ -116,6 +116,14 @@ def test_coefficient_beyond_window_raises():
     assert err.value.suggested_precision is not None
 
 
+@pytest.mark.parametrize(
+    "precision, suggested", [(None, 32), (24, 48), (2048, 4096), (4096, None)]
+)
+def test_retry_suggestion_doubles_precision_up_to_the_cap(precision, suggested):
+    exc = InsufficientPrecision("window too short", precision)
+    assert exc.suggested_precision == suggested
+
+
 # ---------------------------------------------------------------------------
 # power series: Laurent series with valuation >= 0 and a finite window
 
