@@ -145,12 +145,10 @@ class LoopMatrix:
         if key in self._inverse:
             return self._inverse[key]
         ring = self.ring
-        if self.n <= 3:
-            d = self.det()
-            if d.is_zero_to_precision:
-                raise SingularToPrecision(
-                    "determinant vanishes on its whole known window"
-                )
+        d = self.det() if self.n <= 3 else None
+        if d is not None and d.is_exact_zero:
+            raise SingularToPrecision("determinant is exactly zero")
+        if d is not None and not d.is_zero_to_precision:
             inv_det = d.invert(precision)
             full = tuple(range(self.n))
             without = [full[:k] + full[k + 1 :] for k in full]
@@ -171,6 +169,8 @@ class LoopMatrix:
                 rows.append(row)
             result = LoopMatrix(rows, self.group)
         else:
+            # n >= 4, or a determinant zero only on its window: elimination
+            # certifies each pivot or raises the matching error
             result = self._gauss_inverse(precision)
         self._inverse[key] = result
         return result
@@ -192,7 +192,8 @@ class LoopMatrix:
             m[s] = [e.mul(inv_p) for e in m[s]]
             aug[s] = [e.mul(inv_p) for e in aug[s]]
             for i in range(n):
-                if i == s or m[i][s].is_zero_to_precision:
+                # an entry zero only on its window must still carry its O(t^k)
+                if i == s or m[i][s].is_exact_zero:
                     continue
                 q = m[i][s]
                 m[i] = [a.sub(q.mul(b)) for a, b in zip(m[i], m[s])]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import BackendMismatch, DomainError, NonUnitLeading
 
@@ -37,6 +38,13 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _integer_numerators(a) -> tuple:
+    """(d, [x * d for x in a]) with d the lcm of the denominators of a, so
+    every entry of the list is an int."""
+    d = lcm(*[x.denominator for x in a])
+    return d, [x.numerator * (d // x.denominator) for x in a]
 
 
 class Ring:
@@ -133,6 +141,53 @@ class RationalField(Ring):
         if a == 0:
             raise NonUnitLeading("division by zero in QQ")
         return 1 / a
+
+    # The two series kernels run on integer numerators over one common
+    # denominator, so the inner loops do no gcd work; Fraction values are
+    # canonical, so the outputs equal those of the generic kernels.
+
+    def mul_vec(self, a, b, limit=None) -> list:
+        if not a or not b:
+            return []
+        size = len(a) + len(b) - 1
+        if limit is not None and limit < size:
+            size = max(limit, 0)
+        da, na = _integer_numerators(a[:size])
+        db, nb = _integer_numerators(b[:size])
+        out = [0] * size
+        for i, ai in enumerate(na):
+            if not ai:
+                continue
+            for j, bj in enumerate(nb[: size - i], i):
+                out[j] += ai * bj
+        d = da * db
+        return [Fraction(c, d) for c in out]
+
+    def inv_vec(self, a, length: int) -> list:
+        # 1/a = da / N with N = da * a, and 1/N = sum_k c_k t^k / a0^(k+1)
+        # where a0 = N[0] and c_k = -sum_i N[i] a0^(i-1) c_(k-i), all ints.
+        if a[0] == 0:
+            raise NonUnitLeading("division by zero in QQ")
+        da, na = _integer_numerators(a[: max(length, 1)])
+        a0 = na[0]
+        terms, p = [], 1
+        for i, ai in enumerate(na[1:], 1):
+            if ai:
+                terms.append((i, ai * p))
+            p *= a0
+        cs = [1]
+        for k in range(1, length):
+            acc = 0
+            for i, wi in terms:
+                if i > k:
+                    break
+                acc += wi * cs[k - i]
+            cs.append(-acc)
+        out, p = [], a0
+        for c in cs:
+            out.append(Fraction(da * c, p))
+            p *= a0
+        return out
 
     def parse(self, s: str) -> Fraction:
         s = s.strip()

@@ -87,6 +87,43 @@ def test_truncated_rank4_inverse_needs_no_determinant():
     assert mat_mul(tr, inv).agrees_with(LoopMatrix.identity(QQ, 4))
 
 
+def _truncated_at_one(a):
+    return LoopMatrix([[e.truncated(1) for e in r] for r in a.rows])
+
+
+def _with_unit_corner(a):
+    # diag(a, 1) as a loop of rank a.n + 1
+    zero, one = LaurentSeries.zero(a.ring, None), LaurentSeries.one(a.ring)
+    rows = [list(r) + [zero] for r in a.rows] + [[zero] * a.n + [one]]
+    return LoopMatrix(rows)
+
+
+def test_gauss_inverse_keeps_unknown_entries_unknown():
+    # elimination meets a pivot-column entry that is O(t^1), zero only on
+    # its window; skipping its row as if it were 0 made entry (2, 1) of the
+    # inverse exactly 0
+    g = random_loop(3, 1, 2)
+    big = _with_unit_corner(_truncated_at_one(g))
+    inv = big.inverse()
+    assert inv.entry(2, 1).is_zero_to_precision
+    assert not inv.entry(2, 1).is_exact_zero
+    assert inv.entry(2, 1).known_end == 1
+    assert inv.agrees_with(_with_unit_corner(g).inverse())
+
+
+def test_small_inverse_falls_back_to_elimination():
+    # the determinant of the truncated loop is zero on its window only, so
+    # the cofactor path cannot divide by it; elimination still certifies
+    g = random_loop(3, 1, 2)
+    tr = _truncated_at_one(g)
+    assert tr.det().is_zero_to_precision and not tr.det().is_exact_zero
+    assert tr.inverse().agrees_with(g.inverse())
+    # an exactly singular small loop still raises
+    one = LaurentSeries.one(QQ)
+    with pytest.raises(SingularToPrecision):
+        LoopMatrix([[one, one], [one, one]]).inverse()
+
+
 def test_pole_bound_examples():
     assert pole_bound(LoopMatrix.identity(QQ, 3)) == 0
     assert pole_bound(monomial_loop(QQ, (3, -3))) == 3

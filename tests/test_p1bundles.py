@@ -362,6 +362,16 @@ def test_datum_rejects_only_exactly_singular_loops():
         one_point(LoopMatrix(rows))
 
 
+def test_small_loop_singular_on_its_window_gives_exact_counts():
+    # rank 3: the determinant of the truncated loop is zero on its window,
+    # and the inverse comes from elimination, as it would at rank 4
+    g = random_loop(3, 1, 2)
+    tr = LoopMatrix([[e.truncated(1) for e in r] for r in g.rows])
+    assert tr.det().is_zero_to_precision
+    assert h0(one_point(tr), 0) == h0(one_point(g), 0) == 4
+    assert splitting_type(one_point(tr)).a == splitting_type(one_point(g)).a == (1, 0, 0)
+
+
 def test_product_coefficient_suggestion_exceeds_precision_in_use():
     a = LaurentSeries.from_terms(QQ, [(0, 1)], 4)
     b = LaurentSeries.one(QQ)

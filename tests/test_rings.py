@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from loopgr import QQ, ArtinianRing, PrimeField
 from loopgr.errors import DomainError, NonUnitLeading
+from loopgr.rings import Ring
 
 from conftest import PolyModel
 
@@ -97,3 +99,73 @@ def test_artinian_arithmetic_against_model(base):
             assert A.eq(A.mul(a, b), tuple(full.terms.get(e, base.zero) for e in range(m)))
             u = A.random_unit(rng)
             assert A.eq(A.mul(u, A.inv(u)), A.one)
+
+
+# QQ overrides the two series kernels with integer-numerator versions; the
+# generic Ring kernels are their oracle.
+
+
+def _rational(rng, bits):
+    return Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+
+
+def _qq_vector(rng, length):
+    bits = rng.choice((3, 20, 100))
+    return [_rational(rng, bits) if rng.random() < 0.7 else QQ.zero for _ in range(length)]
+
+
+def _check_qq_mul(a, b, limit):
+    got = QQ.mul_vec(a, b, limit)
+    assert got == Ring.mul_vec(QQ, a, b, limit)
+    assert all(type(c) is Fraction for c in got)
+
+
+def _check_qq_inv(a, length):
+    got = QQ.inv_vec(a, length)
+    assert got == Ring.inv_vec(QQ, a, length)
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_qq_kernels_match_generic_kernels():
+    rng = random.Random("qq-kernels")
+    for length in range(1, 26):
+        for trial in range(4):
+            a, b = _qq_vector(rng, length), _qq_vector(rng, rng.randint(1, 25))
+            if trial == 1:
+                a[0] = b[0] = QQ.zero
+            full = len(a) + len(b) - 1
+            for limit in (None, 0, -3, 1, full // 2, full - 1, full, full + 5):
+                _check_qq_mul(a, b, limit)
+            a[0] = _rational(rng, 100) or QQ.one
+            if trial == 2:
+                a[0] = -abs(a[0])
+            for n in (0, 1, length // 2, length, length + 3):
+                _check_qq_inv(a, n)
+    _check_qq_mul([QQ.zero] * 3, [QQ.one, QQ.zero], None)
+    assert QQ.mul_vec([], [QQ.one]) == QQ.mul_vec([QQ.one], []) == []
+
+
+def test_qq_inverse_kernel_needs_a_unit():
+    with pytest.raises(NonUnitLeading, match="division by zero in QQ"):
+        QQ.inv_vec([QQ.zero, QQ.one], 4)
+
+
+def test_qq_kernels_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    big = 2**100
+    rationals = st.builds(Fraction, st.integers(-big, big), st.integers(1, big))
+    vectors = st.lists(rationals | st.just(QQ.zero), min_size=1, max_size=25)
+    limits = st.none() | st.integers(-3, 55)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(vectors, vectors, limits, st.integers(0, 30))
+    def check(a, b, limit, length):
+        _check_qq_mul(a, b, limit)
+        if a[0] == 0:
+            with pytest.raises(NonUnitLeading):
+                QQ.inv_vec(a, length)
+        else:
+            _check_qq_inv(a, length)
+
+    check()
