@@ -148,7 +148,8 @@ def smith_normal_form(a: LoopMatrix, precision: int | None = None) -> CartanFact
             r[s] = r[s].mul(pivot.shifted(-val))
         for i in range(s + 1, n):
             e = m[i][s]
-            if e.is_zero_to_precision:
+            # an entry zero only on its window must still carry its O(t^k)
+            if e.is_exact_zero:
                 continue
             q = e.shifted(-val)  # in k[[t]] because the pivot valuation is minimal
             m[i] = [x.sub(q.mul(y)) for x, y in zip(m[i], m[s])]
@@ -156,7 +157,7 @@ def smith_normal_form(a: LoopMatrix, precision: int | None = None) -> CartanFact
                 r[s] = r[s].add(q.mul(r[i]))
         for j in range(s + 1, n):
             e = m[s][j]
-            if e.is_zero_to_precision:
+            if e.is_exact_zero:
                 continue
             q = e.shifted(-val)
             for row in m:

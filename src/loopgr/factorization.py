@@ -60,10 +60,11 @@ class Factorization:
             raise DomainError("gamma must be a positive loop")
 
     def product(self) -> LoopMatrix:
-        acc = self.gamma or LoopMatrix.identity(self.ring, 2, "SL")
+        acc = LoopMatrix(self.gamma.rows) if self.gamma else LoopMatrix.identity(self.ring, 2)
         for f in self.factors:
             acc = acc.mat_mul(f.matrix())
-        return acc
+        # the partial products are GL views, so the SL determinant runs once
+        return LoopMatrix(acc.rows, self.gamma.group if self.gamma else "SL")
 
     def __len__(self):
         return len(self.factors)

@@ -319,36 +319,31 @@ def _product_coefficient(ring, a: LaurentSeries, b: LaurentSeries, e: int, preci
 
 
 def splitting_type(datum: ModificationDatum, precision: int | None = None) -> SplittingType:
-    """The unique non-increasing tuple a with h0(m) = sum max(0, a_i+m+1)
-    on the whole scan range; the scan range brackets every a_i."""
+    """The unique non-increasing tuple a with h0(m) = sum max(0, a_i+m+1).
+    With B the total pole bound, the bundle lies between O(-B)^n and O(B)^n,
+    so every a_i is in [-B, B]: h0(-B-1) = 0, and the increments
+    h0(m) - h0(m-1), which count the a_i >= -m, are read for m = -B..B."""
     n = datum.n
     bounds, binf = _pole_bounds(datum, precision)
-    spread = n * (sum(bounds) + binf) + 1
-    lo, hi = -spread, spread
-    table = {m: h0(datum, m, precision) for m in range(lo, hi + 1)}
-    counts = []
-    for m in range(lo + 1, hi + 1):
-        counts.append((m, table[m] - table[m - 1]))
-    # increments count the a_i >= -m; recover multiplicities
+    bound = sum(bounds) + binf
+    table = [h0(datum, m, precision) for m in range(-bound - 1, bound + 1)]
     a = []
     prev = 0
-    for m, c in counts:
+    for m, (low, high) in enumerate(zip(table, table[1:]), -bound):
+        c = high - low
         if c < prev or c > n:
             raise InconsistentH0("section increments are not monotone in [0, n]")
         a.extend([-m] * (c - prev))
         prev = c
     if prev != n:
         raise InconsistentH0("section increments never reach the rank")
-    a.sort(reverse=True)
-    st = SplittingType(tuple(a))
-    for m in range(lo, hi + 1):
-        if table[m] != st.sections(m):
-            raise InconsistentH0("no splitting type fits the section counts")
-    return st
+    return SplittingType(tuple(a))
 
 
 def is_trivial(datum: ModificationDatum, precision: int | None = None) -> bool:
-    return splitting_type(datum, precision).is_trivial
+    """Grothendieck's criterion: h0(-1) = 0 puts every a_i <= 0, and then
+    h0(0) = n puts every a_i = 0."""
+    return h0(datum, -1, precision) == 0 and h0(datum, 0, precision) == datum.n
 
 
 def is_isomorphic(

@@ -125,8 +125,8 @@ class LaurentSeries:
 
     @classmethod
     def make(cls, ring: Ring, shift: int, coeffs, known_end: int | None) -> "LaurentSeries":
-        """Canonicalize: clip to the window, trim zeros on both ends."""
-        cs = [ring.of(c) for c in coeffs]
+        """Canonicalize ring elements: clip to the window, trim zeros on both ends."""
+        cs = coeffs
         if known_end is not None and shift + len(cs) > known_end:
             cs = cs[: max(0, known_end - shift)]
         lo = 0
@@ -325,7 +325,7 @@ class LaurentSeries:
         """Apply fn to every known coefficient, landing in `ring` (used for
         constant lifts and residue reductions)."""
         return LaurentSeries.make(
-            ring, self.shift, [fn(c) for c in self.coeffs], self.known_end
+            ring, self.shift, [ring.of(fn(c)) for c in self.coeffs], self.known_end
         )
 
     # -- comparisons -------------------------------------------------------

@@ -56,6 +56,17 @@ def test_snf_unipotent_hand_reduction():
     assert minors_stratum_oracle(m) == (1, -1)
 
 
+def test_snf_keeps_unknown_entries_unknown():
+    # the O(t^2) entry is not an exact zero: skipping its elimination would
+    # give exact transforms whose product claims the loop is exactly I
+    one = LaurentSeries.one(QQ)
+    a = LoopMatrix([[one, LaurentSeries.zero(QQ)], [LaurentSeries.zero(QQ, 2), one]])
+    fact = smith_normal_form(a)
+    assert fact.cocharacter.entries == (0, 0)
+    assert not all(e.is_exact for r in fact.left.rows for e in r)
+    assert fact.product() == a
+
+
 def test_stratum_examples():
     assert stratum(LoopMatrix.identity(QQ, 2)).entries == (0, 0)
     anti = LoopMatrix.from_rows(QQ, [[0, [(-2, 1)]], [[(2, 1)], 0]])

@@ -95,6 +95,39 @@ def test_factor_count_bound_and_reconstruction_random():
         assert f.product().agrees_with(m)
 
 
+def test_product_computes_one_determinant_per_factor_and_one_more(monkeypatch):
+    # each factor matrix checks its own SL flag; the partial products do
+    # not, and the result is checked once
+    rng = random.Random("fact-det-once")
+    gammas = [
+        None,
+        E21([(1, 1)]),  # positive, SL
+        LoopMatrix.from_rows(QQ, [[2, [(1, 1)]], [0, 1]]),  # positive, GL
+    ]
+    cases = []
+    for _ in range(4):
+        factors = factor_elementary(random_sl2(rng)).factors
+        for gamma in gammas:
+            f = Factorization(QQ, factors, gamma)
+            expected = gamma or LoopMatrix.identity(QQ, 2, "SL")
+            for x in factors:
+                expected = expected.mat_mul(x.matrix())
+            cases.append((f, expected))
+    det = LoopMatrix.det
+    computed = []
+
+    def counting_det(self):
+        if self._det is None:
+            computed.append(self)
+        return det(self)
+
+    monkeypatch.setattr(LoopMatrix, "det", counting_det)
+    for f, expected in cases:
+        computed.clear()
+        assert f.product() == expected
+        assert len(computed) <= len(f) + 1
+
+
 def test_factors_are_unipotent():
     rng = random.Random("fact-unip")
     one = LaurentSeries.one(QQ)

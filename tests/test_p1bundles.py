@@ -11,6 +11,7 @@ from loopgr import (
     LoopMatrix,
     MarkedPoint,
     ModificationDatum,
+    PrimeField,
     RationalFunction,
     all_strata_zero,
     elementary_loop,
@@ -27,6 +28,7 @@ from loopgr import (
     strata_of,
     stratum,
 )
+from loopgr import p1bundles
 from loopgr.errors import DomainError, InsufficientPrecision, MarkedPointError
 from loopgr.p1bundles import _product_coefficient
 
@@ -256,6 +258,78 @@ def test_stratum_zero_implies_trivial_but_not_conversely():
     uni = one_point(unipotent())
     assert is_trivial(uni)
     assert not all_strata_zero(uni)
+
+
+# ---------------------------------------------------------------------------
+# the scan range and the triviality test
+
+
+def total_pole_bound(d):
+    """B: the pole bounds of the loops at the points and at infinity."""
+    loops = list(d.loops) + ([d.infinity_loop] if d.infinity_loop else [])
+    return sum(lp.pole_bound() for lp in loops)
+
+
+def test_splitting_type_matches_every_section_count():
+    # the per-twist h0 is the oracle, on the range -(nB+1)..nB+1 that the
+    # scan read before it was cut to -B-1..B
+    for seed in range(3):
+        rng = random.Random(f"p1-oracle:{seed}")
+        pts = ["0", "1"][: rng.randint(1, 2)]
+        loops = [random_loop(2, 1, rng.randrange(10**6)) for _ in pts]
+        d = ModificationDatum.at_points(QQ, pts, loops, random_loop(2, 1, rng.randrange(10**6)))
+        st = splitting_type(d)
+        spread = d.n * total_pole_bound(d) + 1
+        assert all(st.sections(m) == h0(d, m) for m in range(-spread, spread + 1))
+
+
+def test_splitting_type_and_is_trivial_call_counts(monkeypatch):
+    calls = []
+
+    def counting_h0(datum, m, precision=None):
+        calls.append(m)
+        return h0(datum, m, precision)
+
+    monkeypatch.setattr(p1bundles, "h0", counting_h0)
+    d = ModificationDatum.at_points(
+        QQ, ["0", "1"], [random_loop(2, 1, 3), unipotent()], monomial_loop(QQ, (1, -1))
+    )
+    bound = total_pole_bound(d)
+    assert bound >= 3
+    splitting_type(d)
+    assert calls == list(range(-bound - 1, bound + 1))
+    calls.clear()
+    assert is_trivial(one_point(unipotent()))
+    assert calls == [-1, 0]
+    # h0(-1) > 0 already shows a positive a_i
+    calls.clear()
+    assert not is_trivial(one_point(monomial_loop(QQ, (-1, 1))))
+    assert calls == [-1]
+
+
+def test_splitting_type_bound_and_degree_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=20, deadline=None, database=None)
+    @hypothesis.given(
+        st.sampled_from([QQ, PrimeField(10007)]),
+        st.integers(1, 2),
+        st.lists(st.integers(0, 1), max_size=2),
+        st.booleans(),
+        st.integers(0, 10**6),
+    )
+    def check(ring, n, poles, at_infinity, seed):
+        loops = [random_loop(n, p, seed + i, ring) for i, p in enumerate(poles)]
+        inf = random_loop(n, 1, seed - 1, ring) if at_infinity else None
+        d = ModificationDatum(ring, n, tuple(str(i) for i in range(len(poles))), tuple(loops), inf)
+        bound = total_pole_bound(d)
+        a = splitting_type(d).a
+        assert all(-bound <= x <= bound for x in a)
+        assert sum(a) == -sum(lp.det().valuation for lp in loops + ([inf] if inf else []))
+        assert is_trivial(d) == all(x == 0 for x in a)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

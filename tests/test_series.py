@@ -210,6 +210,25 @@ def test_exact_division_fast_path():
     assert q2.mul(S([(0, 1), (1, -1)])).agrees_with(S([(0, 1), (1, 1)]))
 
 
+def test_arithmetic_does_not_coerce_ring_elements(monkeypatch):
+    # sums, products and reciprocals are ring elements already; only values
+    # from outside the ring pass through QQ.of
+    a = S([(-1, 2), (0, Fraction(1, 3)), (2, -5)])
+    b = S([(0, 3), (1, Fraction(-1, 2))], 6)
+    exact = S([(0, 1), (1, 2)])
+
+    def refuse(x):
+        raise AssertionError(f"QQ.of({x!r}) called")
+
+    monkeypatch.setattr(QQ, "of", refuse)
+    assert a.mul(b).coefficient(-1) == 6
+    assert a.add(b).coefficient(0) == Fraction(10, 3)
+    assert a.sub(a).is_exact_zero
+    assert b.invert().mul(b).agrees_with(LaurentSeries.one(QQ))
+    assert a.mul(exact).div(exact) == a
+    assert a.div(b).mul(b).agrees_with(a)
+
+
 # ---------------------------------------------------------------------------
 # expand_shift
 
