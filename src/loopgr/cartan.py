@@ -143,7 +143,8 @@ def smith_normal_form(a: LoopMatrix, precision: int | None = None) -> CartanFact
         val = pivot.shift
         # scale the pivot row by the inverse unit part; exact when monomial
         w_inv = pivot.shifted(-val).invert(precision)
-        m[s] = [e.mul(w_inv) for e in m[s]]
+        # rows <= s and columns < s are dead; column ops below read column s
+        m[s][s:] = [e.mul(w_inv) for e in m[s][s:]]
         for r in u:
             r[s] = r[s].mul(pivot.shifted(-val))
         for i in range(s + 1, n):
@@ -152,7 +153,7 @@ def smith_normal_form(a: LoopMatrix, precision: int | None = None) -> CartanFact
             if e.is_exact_zero:
                 continue
             q = e.shifted(-val)  # in k[[t]] because the pivot valuation is minimal
-            m[i] = [x.sub(q.mul(y)) for x, y in zip(m[i], m[s])]
+            m[i][s:] = [x.sub(q.mul(y)) for x, y in zip(m[i][s:], m[s][s:])]
             for r in u:
                 r[s] = r[s].add(q.mul(r[i]))
         for j in range(s + 1, n):
@@ -160,7 +161,8 @@ def smith_normal_form(a: LoopMatrix, precision: int | None = None) -> CartanFact
             if e.is_exact_zero:
                 continue
             q = e.shifted(-val)
-            for row in m:
+            # also a row whose column-s entry is an O(t^k): its window carries on
+            for row in m[s + 1 :]:
                 row[j] = row[j].sub(row[s].mul(q))
             v[s] = [x.add(q.mul(y)) for x, y in zip(v[s], v[j])]
         divisors.append(val)

@@ -64,6 +64,7 @@ def _fmt_tuple(values) -> str:
 
 
 # -- command handlers: each returns (json_doc, text) -------------------------
+# text may instead be a function, called only for --format text
 
 
 def _cmd_stratum(doc, precision, seed):
@@ -101,16 +102,20 @@ def _cmd_splitting(doc, precision, seed):
     fields = jsonio._take(doc, "input", ("datum",), ("ring",))
     datum = jsonio.datum_from_json(ring, fields["datum"])
     st = p1bundles.splitting_type(datum, precision)
-    rows = [["splitting type", _fmt_tuple(st.a), f"degree {st.degree()}"]]
-    strata = p1bundles.strata_of(datum, precision)
-    labels = [ring.scalar_str(p.r) for p in datum.points]
-    if datum.infinity_loop is not None:
-        labels.append("infinity")
-    if labels:
-        rows.append(["point", "stratum", ""])
-        for label, lam in zip(labels, strata):
-            rows.append([label, _fmt_tuple(lam.entries), ""])
-    return jsonio.splitting_to_json(st), _table(rows)
+
+    def text():
+        # only the table shows the strata, so JSON output never reduces a loop
+        rows = [["splitting type", _fmt_tuple(st.a), f"degree {st.degree()}"]]
+        labels = [ring.scalar_str(p.r) for p in datum.points]
+        if datum.infinity_loop is not None:
+            labels.append("infinity")
+        if labels:
+            rows.append(["point", "stratum", ""])
+            for label, lam in zip(labels, p1bundles.strata_of(datum, precision)):
+                rows.append([label, _fmt_tuple(lam.entries), ""])
+        return _table(rows)
+
+    return jsonio.splitting_to_json(st), text
 
 
 def _cmd_h0(doc, precision, seed):
@@ -279,15 +284,16 @@ def main(argv=None) -> int:
             return _run_batch(args)
         doc = _load(args.input)
         out, text = _run_one(args.command, doc, precision, args.seed)
+        if args.format == "json":
+            report = json.dumps(out, sort_keys=True)
+        else:
+            report = text() if callable(text) else text
     except Error as exc:
         suggested = exc.suggested_precision
         hint = f" (suggested precision {suggested})" if suggested is not None else ""
         print(f"error[{type(exc).__name__}]: {exc}{hint}", file=sys.stderr)
         return exc.exit_code
-    if args.format == "json":
-        print(json.dumps(out, sort_keys=True))
-    else:
-        print(text)
+    print(report)
     return 0
 
 

@@ -60,11 +60,14 @@ class Factorization:
             raise DomainError("gamma must be a positive loop")
 
     def product(self) -> LoopMatrix:
-        acc = LoopMatrix(self.gamma.rows) if self.gamma else LoopMatrix.identity(self.ring, 2)
+        # each factor I + x*e_ij is the column operation column j += x * column i
+        one, zero = LaurentSeries.one(self.ring), LaurentSeries.zero(self.ring)
+        rows = [list(r) for r in self.gamma.rows] if self.gamma else [[one, zero], [zero, one]]
         for f in self.factors:
-            acc = acc.mat_mul(f.matrix())
-        # the partial products are GL views, so the SL determinant runs once
-        return LoopMatrix(acc.rows, self.gamma.group if self.gamma else "SL")
+            i, j = f.position[0] - 1, f.position[1] - 1
+            for r in rows:
+                r[j] = r[j].add(r[i].mul(f.parameter))
+        return LoopMatrix(rows, self.gamma.group if self.gamma else "SL")
 
     def __len__(self):
         return len(self.factors)

@@ -15,6 +15,7 @@ from .errors import (
     BackendMismatch,
     DomainError,
     InsufficientPrecision,
+    NonUnitLeading,
     SingularToPrecision,
 )
 from .rings import QQ, Ring
@@ -176,29 +177,23 @@ class LoopMatrix:
         return result
 
     def _gauss_inverse(self, precision: int | None) -> "LoopMatrix":
-        # Gauss-Jordan over the Laurent field with valuation-minimizing pivots.
+        # Gauss-Jordan on [a | I] with valuation-minimizing pivots; a row
+        # operation updates only the columns right of the pivot column
         n = self.n
-        ring = self.ring
-        m = [list(r) for r in self.rows]
-        ident = LoopMatrix.identity(ring, n)
-        aug = [list(r) for r in ident.rows]
+        m = [list(r + e) for r, e in zip(self.rows, LoopMatrix.identity(self.ring, n).rows)]
         for s in range(n):
-            piv = _min_valuation_pivot(m, s, precision, rows_only=True)
-            i0, _ = piv
-            if i0 != s:
-                m[s], m[i0] = m[i0], m[s]
-                aug[s], aug[i0] = aug[i0], aug[s]
-            inv_p = m[s][s].invert(precision)
-            m[s] = [e.mul(inv_p) for e in m[s]]
-            aug[s] = [e.mul(inv_p) for e in aug[s]]
-            for i in range(n):
+            i0, _ = _min_valuation_pivot(m, s, precision, rows_only=True)
+            m[s], m[i0] = m[i0], m[s]
+            top = m[s]
+            inv_p = top[s].invert(precision)
+            top[s + 1 :] = [e.mul(inv_p) for e in top[s + 1 :]]
+            for row in m:
+                q = row[s]
                 # an entry zero only on its window must still carry its O(t^k)
-                if i == s or m[i][s].is_exact_zero:
+                if row is top or q.is_exact_zero:
                     continue
-                q = m[i][s]
-                m[i] = [a.sub(q.mul(b)) for a, b in zip(m[i], m[s])]
-                aug[i] = [a.sub(q.mul(b)) for a, b in zip(aug[i], aug[s])]
-        return LoopMatrix(aug, self.group)
+                row[s + 1 :] = [a.sub(q.mul(b)) for a, b in zip(row[s + 1 :], top[s + 1 :])]
+        return LoopMatrix([r[n:] for r in m], self.group)
 
     # -- loop-group structure ----------------------------------------------
 
@@ -284,12 +279,17 @@ def _least_valuation(entries):
 
 
 def _min_valuation_pivot(m, s, precision, rows_only=False):
-    """Position (i, j) of the minimal-valuation entry of m[s:][s:], ties to
+    """Position (i, j) of the minimal-valuation entry of m[s:][s:] among those
+    with a unit leading coefficient (over a field, all known nonzero), ties to
     the smallest row then column.  Raises when truncation hides the answer."""
     cols = [s] if rows_only else range(s, len(m))
     cells = [(i, j) for i in range(s, len(m)) for j in cols]
-    best, end = _least_valuation([m[i][j] for i, j in cells])
+    ring = m[s][s].ring
+    cand = [(i, j) for i, j in cells if not m[i][j].coeffs or ring.is_unit(m[i][j].coeffs[0])]
+    best, end = _least_valuation([m[i][j] for i, j in cand])
     if best is None:
+        if len(cand) < len(cells):
+            raise NonUnitLeading("leading coefficient is not a unit")
         raise SingularToPrecision(
             "no pivot: the remaining block vanishes on its known windows"
         )
@@ -298,7 +298,7 @@ def _min_valuation_pivot(m, s, precision, rows_only=False):
             "an entry that is zero to its window could still beat the pivot",
             precision,
         )
-    return cells[best[1]]
+    return cand[best[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +348,9 @@ def elementary_loop(ring: Ring, n: int, i: int, j: int, param: LaurentSeries) ->
     return LoopMatrix(rows, "SL" if n == 2 else "GL")
 
 
-def _random_poly_series(ring, rng, max_degree) -> LaurentSeries:
-    terms = [(e, ring.random(rng)) for e in range(max_degree + 1)]
-    return LaurentSeries.from_terms(ring, terms)
-
-
-def random_positive(n: int, seed: int, ring: Ring | None = None, degree: int = 2) -> LoopMatrix:
+def random_positive(n: int, seed: int, ring: Ring | None = None) -> LoopMatrix:
     """Deterministic random element of the positive loop group: an invertible
-    constant matrix (unit triangular product) plus terms of valuation >= 1."""
+    constant matrix (unit triangular product) plus random t and t^2 terms."""
     ring = ring or QQ
     # seed from a string: deterministic across processes, unlike tuple hashes
     rng = random.Random(f"positive:{n}:{seed}")
@@ -368,14 +363,11 @@ def random_positive(n: int, seed: int, ring: Ring | None = None, degree: int = 2
         ]
         for i in range(n)
     ]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            tail = _random_poly_series(ring, rng, max(degree - 1, 0)).shifted(1)
-            row.append(LaurentSeries.constant(ring, const[i][j]).add(tail))
-        rows.append(row)
-    return LoopMatrix(rows)
+
+    def entry(c):
+        return LaurentSeries.from_terms(ring, [(0, c), (1, ring.random(rng)), (2, ring.random(rng))])
+
+    return LoopMatrix([[entry(c) for c in r] for r in const])
 
 
 def _scalar_dot(ring, xs, ys):

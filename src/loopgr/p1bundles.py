@@ -28,7 +28,7 @@ from .errors import (
 )
 from .loops import LoopMatrix
 from .rings import Ring
-from .series import DEFAULT_PRECISION, LaurentSeries, RationalFunction, poly_mul, poly_trim
+from .series import DEFAULT_PRECISION, LaurentSeries, RationalFunction, poly_mul, poly_strip_root
 
 
 @dataclass(frozen=True)
@@ -152,19 +152,11 @@ def expand_at(v, datum: ModificationDatum, i: int, precision: int | None = None)
             raise DomainError("expand_at expects rational-function components")
         den = f.den
         for r in pts:
-            k = f.pole_order_at(r)
-            for _ in range(k):
-                den, _ = _divide_linear(ring, den, r)
+            _, den = poly_strip_root(ring, den, r)
         if len(den) > 1:
             raise DomainError("component has a pole away from the marked points")
     center = pts[i]
     return [f.expand_at(center, precision) for f in v]
-
-
-def _divide_linear(ring, poly, r):
-    from .series import poly_divmod
-
-    return poly_divmod(ring, poly, poly_trim(ring, (ring.neg(r), ring.one)))
 
 
 # ---------------------------------------------------------------------------

@@ -261,11 +261,7 @@ class PrimeField(Ring):
         return pow(a, self.p - 2, self.p)
 
     def parse(self, s: str) -> int:
-        s = s.strip()
-        if not _RATIONAL_RE.match(s):
-            raise DomainError(f"not an exact rational literal: {s!r}")
-        f = Fraction(s)
-        return self.of(f)
+        return self.of(QQ.parse(s))
 
     def scalar_str(self, a) -> str:
         return str(a % self.p)
@@ -293,15 +289,14 @@ class ArtinianRing(Ring):
 
     is_field = False
 
-    def __init__(self, base: Ring, m: int, var: str = "x"):
+    def __init__(self, base: Ring, m: int):
         if not base.is_field:
             raise DomainError("Artinian backend needs a field of coefficients")
         if not isinstance(m, int) or m < 1:
             raise DomainError(f"nilpotency order must be a positive int, got {m!r}")
         self.base = base
         self.m = m
-        self.var = var
-        self.name = f"{base.name}[{var}]/({var}^{m})"
+        self.name = f"{base.name}[x]/(x^{m})"
         self.characteristic = base.characteristic
         self.zero = (base.zero,) * m
         self.one = (base.one,) + (base.zero,) * (m - 1)
@@ -365,7 +360,7 @@ class ArtinianRing(Ring):
             if i == 0:
                 parts.append(cs)
             else:
-                xp = self.var if i == 1 else f"{self.var}^{i}"
+                xp = "x" if i == 1 else f"x^{i}"
                 parts.append(xp if cs == "1" else f"{cs}*{xp}")
         return " + ".join(parts) if parts else "0"
 

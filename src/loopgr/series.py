@@ -97,6 +97,17 @@ def poly_gcd(ring, a, b):
     return a
 
 
+def poly_strip_root(ring, p, r):
+    """(k, q) with p = (t - r)^k * q and q(r) != 0; p must be nonzero."""
+    lin = poly_trim(ring, (ring.neg(r), ring.one))
+    k = 0
+    while True:
+        q, rem = poly_divmod(ring, p, lin)
+        if rem:
+            return k, p
+        p, k = q, k + 1
+
+
 def poly_shift_var(ring, p, r):
     """The polynomial p(t + r), computed exactly by Horner recursion."""
     res: tuple = ()
@@ -406,11 +417,11 @@ class RationalFunction:
         den = poly_trim(ring, [ring.of(c) for c in den])
         if not den:
             raise DomainError("zero denominator")
-        if num:
-            g = poly_gcd(ring, num, den)
-            if len(g) > 1:
-                num, _ = poly_divmod(ring, num, g)
-                den, _ = poly_divmod(ring, den, g)
+        # gcd(0, den) is den made monic, so zero gets the denominator 1
+        g = poly_gcd(ring, num, den)
+        if len(g) > 1:
+            num, _ = poly_divmod(ring, num, g)
+            den, _ = poly_divmod(ring, den, g)
         lead_inv = ring.inv(den[-1])
         self.ring = ring
         self.num = poly_scale(ring, lead_inv, num)
@@ -487,20 +498,7 @@ class RationalFunction:
 
     def pole_order_at(self, r) -> int:
         """Order of the pole at t = r (0 when regular there)."""
-        ring = self.ring
-        if self.is_zero:
-            return 0
-        r = ring.of(r)
-        order = 0
-        den = self.den
-        lin = poly_trim(ring, (ring.neg(r), ring.one))
-        while True:
-            q, rem = poly_divmod(ring, den, lin)
-            if rem:
-                break
-            den = q
-            order += 1
-        return order
+        return poly_strip_root(self.ring, self.den, self.ring.of(r))[0]
 
     def __eq__(self, other):
         return (

@@ -85,6 +85,22 @@ def test_splitting_type_text_table(tmp_path, capsys):
     assert "splitting type" in out and "(1, -1)" in out
 
 
+def test_splitting_type_json_does_not_need_the_strata(tmp_path, capsys):
+    # the splitting type is certified, but the stratum of the truncated loop
+    # is not: JSON output succeeds, the text table reports the strata error
+    from loopgr import LoopMatrix, jsonio, random_loop
+
+    g = random_loop(2, 1, 0)
+    tr = LoopMatrix([[e.truncated((i + j) % 3) for j, e in enumerate(r)] for i, r in enumerate(g.rows)])
+    datum = {"points": ["0"], "loops": [jsonio.loop_to_json(tr)], "infinity_loop": None}
+    path = write(tmp_path, "tr.json", {"datum": datum})
+    code, out, _ = run(capsys, ["splitting-type", path])
+    assert code == 0 and json.loads(out) == {"a": [1, 1]}
+    code, out, err = run(capsys, ["splitting-type", path, "--format", "text"])
+    assert code == 3 and out == ""
+    assert err.startswith("error[InsufficientPrecision]: ") and len(err.splitlines()) == 1
+
+
 def test_factor_rotation(tmp_path, capsys):
     path = write(tmp_path, "rot.json", {"loop": ROTATION_LOOP})
     code, out, _ = run(capsys, ["factor", path])

@@ -95,9 +95,10 @@ def test_factor_count_bound_and_reconstruction_random():
         assert f.product().agrees_with(m)
 
 
-def test_product_computes_one_determinant_per_factor_and_one_more(monkeypatch):
-    # each factor matrix checks its own SL flag; the partial products do
-    # not, and the result is checked once
+def test_product_is_one_loop_with_one_determinant(monkeypatch):
+    # the factors are applied as column operations: no factor matrix, no
+    # partial product and no mat_mul; the one loop built computes one
+    # determinant, its SL check, and none when gamma is GL
     rng = random.Random("fact-det-once")
     gammas = [
         None,
@@ -113,19 +114,30 @@ def test_product_computes_one_determinant_per_factor_and_one_more(monkeypatch):
             for x in factors:
                 expected = expected.mat_mul(x.matrix())
             cases.append((f, expected))
-    det = LoopMatrix.det
-    computed = []
+    det, init = LoopMatrix.det, LoopMatrix.__init__
+    computed, built = [], []
 
     def counting_det(self):
         if self._det is None:
             computed.append(self)
         return det(self)
 
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def no_mat_mul(self, other):
+        raise AssertionError("product called mat_mul")
+
     monkeypatch.setattr(LoopMatrix, "det", counting_det)
+    monkeypatch.setattr(LoopMatrix, "__init__", counting_init)
+    monkeypatch.setattr(LoopMatrix, "mat_mul", no_mat_mul)
     for f, expected in cases:
         computed.clear()
-        assert f.product() == expected
-        assert len(computed) <= len(f) + 1
+        built.clear()
+        assert f.product() == expected  # rows and group
+        assert len(built) == 1
+        assert len(computed) == (expected.group == "SL")
 
 
 def test_factors_are_unipotent():

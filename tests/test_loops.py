@@ -17,7 +17,12 @@ from loopgr import (
     random_loop,
     random_positive,
 )
-from loopgr.errors import DomainError, InsufficientPrecision, SingularToPrecision
+from loopgr.errors import (
+    DomainError,
+    InsufficientPrecision,
+    NonUnitLeading,
+    SingularToPrecision,
+)
 from loopgr.loops import _min_valuation_pivot
 
 from conftest import _exact_det, rand_exact_series, rand_truncated_series
@@ -122,6 +127,25 @@ def test_small_inverse_falls_back_to_elimination():
     one = LaurentSeries.one(QQ)
     with pytest.raises(SingularToPrecision):
         LoopMatrix([[one, one], [one, one]]).inverse()
+
+
+def test_elimination_pivots_on_a_unit_leading_coefficient():
+    # over QQ[x]/(x^2), x in corner (0, 0) has the least valuation but a
+    # nilpotent leading coefficient, so the pivot must be the 1 below it
+    A = ArtinianRing(QQ, 2)
+    x = LaurentSeries.constant(A, A.gen())
+    for n in (2, 3, 4, 5):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows[0][:2], rows[1][:2] = [x, 1], [1, 0]
+        m = LoopMatrix.from_rows(A, rows)
+        inv = m.inverse()
+        ident = LoopMatrix.identity(A, n)
+        assert mat_mul(m, inv) == ident and mat_mul(inv, m) == ident
+        assert m.pole_bound() == 0
+    # no unit leading coefficient left in the pivot column
+    rows = [[x, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(NonUnitLeading):
+        LoopMatrix.from_rows(A, rows).inverse()
 
 
 def test_pole_bound_examples():

@@ -84,6 +84,15 @@ def test_expand_at_rejects_alien_poles():
         expand_at([RF([(0, 1)], [(0, -5), (1, 1)])], d, 0)
 
 
+def test_expand_at_zero_component_and_double_pole():
+    # c - c is zero whatever its denominator was; 1/(t+1)^2 has a double pole
+    # at the marked point -1 and none elsewhere
+    d = one_point(monomial_loop(QQ, (-2,)), r="-1")
+    c = RF([(0, 1)], [(0, 1), (1, 1)])
+    out = expand_at([c.sub(c), c.mul(c)], d, 0)
+    assert out == [LaurentSeries.zero(QQ), LaurentSeries.t_power(QQ, -2)]
+
+
 # ---------------------------------------------------------------------------
 # h0 hand oracles
 

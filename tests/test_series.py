@@ -8,6 +8,7 @@ import pytest
 from loopgr import QQ, LaurentSeries, PrimeField, RationalFunction, expand_shift
 from loopgr.errors import (
     BackendMismatch,
+    DomainError,
     InsufficientPrecision,
     NonUnitLeading,
     ZeroToPrecision,
@@ -289,6 +290,16 @@ def test_expand_shift_unit_at_other_points():
         assert out.valuation == 0
         assert QQ.is_unit(out.coefficient(0))
         assert out.coefficient(0) == 1 / (ri - rj)
+
+
+def test_zero_rational_function_is_canonical():
+    c = RF([(0, 1)], [(0, 1), (1, 1)])  # 1/(1 + t)
+    zero = RationalFunction.constant(QQ, 0)
+    for z in (c.sub(c), RF([], [(0, 1), (2, 3)]), c.mul(zero)):
+        assert z.den == (1,) and z == zero and hash(z) == hash(zero)
+        assert z.pole_order_at(-1) == 0
+    with pytest.raises(DomainError):
+        RF([(0, 1)], [])
 
 
 def test_rational_function_cancellation():
