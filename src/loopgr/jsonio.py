@@ -21,7 +21,7 @@ Formats (unknown keys are rejected everywhere):
 from __future__ import annotations
 
 from .cartan import CoarseStratum, Cocharacter
-from .errors import Error, SchemaError
+from .errors import MAX_PRECISION, Error, SchemaError
 from .factorization import ElementaryFactor, Factorization
 from .loops import LoopMatrix
 from .p1bundles import ModificationDatum, SplittingType
@@ -48,6 +48,14 @@ def _take(obj: dict, what: str, required: tuple, optional: tuple = ()) -> dict:
     missing = set(required) - set(obj)
     if missing:
         raise SchemaError(f"{what}: missing fields {sorted(missing)}")
+    return obj
+
+
+def _bounded(obj, what: str) -> int:
+    """An int in [-MAX_PRECISION, MAX_PRECISION]: exponents and series
+    windows size dense coefficient lists, so larger ones are refused."""
+    if not -MAX_PRECISION <= _expect(obj, int, what) <= MAX_PRECISION:
+        raise SchemaError(f"{what} must lie in [-{MAX_PRECISION}, {MAX_PRECISION}], got {obj}")
     return obj
 
 
@@ -119,11 +127,11 @@ def series_from_json(ring: Ring, obj) -> LaurentSeries:
         pair = _expect(item, list, "series term")
         if len(pair) != 2:
             raise SchemaError("series term: expected [exponent, coefficient]")
-        e = _expect(pair[0], int, "series exponent")
+        e = _bounded(pair[0], "series exponent")
         parsed.append((e, scalar_from_json(ring, pair[1])))
     prec = fields.get("precision")
     if prec is not None:
-        prec = _expect(prec, int, "series.precision")
+        prec = _bounded(prec, "series.precision")
     return LaurentSeries.from_terms(ring, parsed, prec)
 
 
@@ -143,7 +151,7 @@ def poly_terms_from_json(obj) -> list:
         pair = _expect(item, list, "poly term")
         if len(pair) != 2:
             raise SchemaError("poly term: expected [exponent, coefficient]")
-        e = _expect(pair[0], int, "poly exponent")
+        e = _bounded(pair[0], "poly exponent")
         if e < 0:
             raise SchemaError("poly exponent must be non-negative")
         out.append((e, pair[1]))

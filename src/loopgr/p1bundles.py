@@ -159,51 +159,13 @@ def expand_at(v, datum: ModificationDatum, i: int, precision: int | None = None)
     return [f.expand_at(center, precision) for f in v]
 
 
-# ---------------------------------------------------------------------------
-# exact linear algebra over the backend field
-
-
-def _rank(ring, rows) -> int:
-    """Rank by forward elimination; only the entries right of each pivot
-    column are updated, since nothing to their left is read again."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        if rank == len(rows):
-            break
-        pivot = next((i for i in range(rank, len(rows)) if not ring.is_zero(rows[i][col])), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        inv = ring.inv(top[col])
-        for row in rows[rank + 1 :]:
-            if ring.is_zero(row[col]):
-                continue
-            c = ring.mul(row[col], inv)
-            for j in range(col + 1, ncols):
-                row[j] = ring.sub(row[j], ring.mul(c, top[j]))
-        rank += 1
-    return rank
-
-
-# ---------------------------------------------------------------------------
-
-
 def _pole_bounds(datum: ModificationDatum, precision):
+    loops = datum.loops + ((datum.infinity_loop,) if datum.infinity_loop is not None else ())
     try:
-        bounds = [lp.pole_bound(precision) for lp in datum.loops]
-        binf = (
-            datum.infinity_loop.pole_bound(precision)
-            if datum.infinity_loop is not None
-            else 0
-        )
+        bounds = [lp.pole_bound(precision) for lp in loops]
     except InsufficientPrecision as exc:
-        raise UnboundedPole(
-            "cannot certify a finite pole bound for a loop of the datum"
-        ) from exc
-    return bounds, binf
+        raise UnboundedPole("cannot certify a finite pole bound for a loop of the datum") from exc
+    return bounds[: len(datum.loops)], sum(bounds[len(datum.loops) :])
 
 
 def h0(datum: ModificationDatum, m: int, precision: int | None = None) -> int:
@@ -214,17 +176,28 @@ def h0(datum: ModificationDatum, m: int, precision: int | None = None) -> int:
     numerator components; the conditions are the vanishing of all negative
     coefficients of alpha_i^{-1} * v at each point (and, when a loop at
     infinity is present, of the coefficients of s^e, e < -m, at infinity).
-    All arithmetic is exact, so the kernel dimension is exact.
-    """
+    All arithmetic is exact, so the kernel dimension is exact."""
+    return _section_counts(datum, m, m, precision)[0]
+
+
+def _section_counts(datum: ModificationDatum, low: int, high: int, precision) -> list[int]:
+    """h0(m) for m = low..high from one elimination.  Every a_i lies in
+    [-B, B], B the total pole bound, so h0 is 0 below -B and grows by n per
+    twist above B; rows are built only for the twists between.  Column k*n + d
+    is the unknown of degree k in component d, so twist m reads a prefix of
+    n(m + B + 1) columns.  The finite-point rows, independent of m, are built
+    once at the top twist, and each lower twist adds its n rows at s^(-m-1) at
+    infinity.  h0(m) is the prefix width less the leading columns inside it."""
     ring = datum.ring
     if not ring.is_field:
         raise DomainError("section counting needs a field backend")
     n = datum.n
     bounds, binf = _pole_bounds(datum, precision)
     total = sum(bounds)
-    deg = m + total + binf
-    if deg < 0:
-        return 0
+    bound = total + binf
+    top, bottom = min(high, bound), max(min(low, bound), -bound)
+    if top < -bound:
+        return [0] * (high - low + 1)
     work = precision or DEFAULT_PRECISION
     rows = []
     for i, (p, nb) in enumerate(zip(datum.points, bounds)):
@@ -239,26 +212,53 @@ def h0(datum: ModificationDatum, m: int, precision: int | None = None) -> int:
         ]
         basis = [_reciprocal(ring, others, 2 * nb + 2).shifted(-nb)]
         lin = LaurentSeries.from_terms(ring, [(0, p.r), (1, ring.one)])
-        for _ in range(deg):
+        for _ in range(top + bound):
             basis.append(basis[-1].mul(lin))
         alpha_inv = datum.loops[i].inverse(max(work, 2 * nb + 2))
         rows.extend(_condition_rows(ring, alpha_inv, basis, range(-2 * nb, 0), precision))
-
     if datum.infinity_loop is not None:
         # in s = 1/t, t^k / prod_j (t - r_j)^{N_j} is
         # s^{total - k} / prod_j (1 - r_j s)^{N_j}
-        inv_denom = _reciprocal(
-            ring,
-            [((ring.one, ring.neg(q.r)), nq) for q, nq in zip(datum.points, bounds)],
-            2 * binf + 4,
-        )
-        basis = [inv_denom.shifted(total - k) for k in range(deg + 1)]
-        alpha_inv = datum.infinity_loop.inverse(max(work, 2 * binf + abs(m) + 2))
-        rows.extend(
-            _condition_rows(ring, alpha_inv, basis, range(-m - 2 * binf, -m), precision)
-        )
+        factors = [((ring.one, ring.neg(q.r)), nq) for q, nq in zip(datum.points, bounds)]
+        inv_denom = _reciprocal(ring, factors, 2 * binf + 4)
+        inf_basis = [inv_denom.shifted(total - k) for k in range(top + bound + 1)]
+        window = 2 * binf + max(abs(bottom), abs(top)) + 2
+        inf_inv = datum.infinity_loop.inverse(max(work, window))
+    counts, pivots = {}, {}  # pivots: leading column -> rest of its echelon row
+    start = -top - 2 * binf
+    for m in range(top, bottom - 1, -1):
+        size = n * (m + bound + 1)
+        if datum.infinity_loop is not None:
+            # on this prefix the rows at s^e, e < -m - 2*binf, vanish
+            exps, start = range(start, -m), -m
+            rows += _condition_rows(ring, inf_inv, inf_basis[: size // n], exps, precision)
+        led = sum(1 for col in pivots if col < size)
+        for row in rows:
+            if led == size:
+                break
+            led += _insert(ring, pivots, row)
+        rows, counts[m] = [], size - led
+    return [counts.get(min(m, bound), 0) + n * max(0, m - bound) for m in range(low, high + 1)]
 
-    return n * (deg + 1) - _rank(ring, rows)
+
+def _insert(ring, pivots, row) -> int:
+    """Reduce `row` by the echelon rows in `pivots`; keep a nonzero rest as
+    a new one and return 1, else 0.  An echelon row is kept scaled to a
+    leading one, as its nonzero entries right of the leading column: those
+    are the only entries a reduction reads."""
+    for col in range(len(row)):
+        x = row[col]
+        if ring.is_zero(x):
+            continue
+        if col not in pivots:
+            inv, rest = ring.inv(x), enumerate(row[col + 1 :], col + 1)
+            pivots[col] = [(j, ring.mul(inv, y)) for j, y in rest if not ring.is_zero(y)]
+            return 1
+        for j, y in pivots[col]:
+            if j >= len(row):
+                break
+            row[j] = ring.sub(row[j], ring.mul(x, y))
+    return 0
 
 
 def _reciprocal(ring, factors, window):
@@ -274,20 +274,20 @@ def _reciprocal(ring, factors, window):
 
 def _condition_rows(ring, alpha_inv, basis, exps, precision):
     """One row per (c, e): the coefficient of t^e in component c of
-    alpha_inv * v, as a linear form in the unknowns; column d * len(basis) + k
+    alpha_inv * v, as a linear form in the unknowns; column k * n + d
     multiplies basis[k] in component d of v.  Only exactly zero entries are
     skipped, so an entry that is zero on its window still has that window
     checked by `_product_coefficient`."""
-    n, width = alpha_inv.n, len(basis)
+    n = alpha_inv.n
     for c in range(n):
         entries = [alpha_inv.entry(c, d) for d in range(n)]
         for e in exps:
-            row = [ring.zero] * (n * width)
+            row = [ring.zero] * (n * len(basis))
             for d, entry in enumerate(entries):
                 if entry.is_exact_zero:
                     continue
                 for k, b in enumerate(basis):
-                    row[d * width + k] = _product_coefficient(ring, entry, b, e, precision)
+                    row[k * n + d] = _product_coefficient(ring, entry, b, e, precision)
             yield row
 
 
@@ -318,7 +318,7 @@ def splitting_type(datum: ModificationDatum, precision: int | None = None) -> Sp
     n = datum.n
     bounds, binf = _pole_bounds(datum, precision)
     bound = sum(bounds) + binf
-    table = [h0(datum, m, precision) for m in range(-bound - 1, bound + 1)]
+    table = _section_counts(datum, -bound - 1, bound, precision)
     a = []
     prev = 0
     for m, (low, high) in enumerate(zip(table, table[1:]), -bound):

@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .errors import BackendMismatch, DomainError, NonUnitLeading
+from .errors import MAX_PRECISION, BackendMismatch, DomainError, NonUnitLeading
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -292,8 +292,10 @@ class ArtinianRing(Ring):
     def __init__(self, base: Ring, m: int):
         if not base.is_field:
             raise DomainError("Artinian backend needs a field of coefficients")
-        if not isinstance(m, int) or m < 1:
-            raise DomainError(f"nilpotency order must be a positive int, got {m!r}")
+        if not isinstance(m, int) or not 1 <= m <= MAX_PRECISION:
+            raise DomainError(
+                f"nilpotency order must be an int in [1, {MAX_PRECISION}], got {m!r}"
+            )
         self.base = base
         self.m = m
         self.name = f"{base.name}[x]/(x^{m})"

@@ -341,6 +341,53 @@ def test_boolean_is_not_an_int(tmp_path, capsys, command, doc):
     assert code == 2 and "SchemaError" in err
 
 
+@pytest.mark.parametrize(
+    "command, doc, code, error",
+    [
+        pytest.param(
+            "stratum",
+            {"loop": {"n": 1, "entries": [[{"terms": [[4097, "1"]]}]]}},
+            2,
+            "SchemaError",
+            id="series.exponent",
+        ),
+        pytest.param(
+            "stratum",
+            {"loop": {"n": 1, "entries": [[{"terms": [[0, "1"]], "precision": 4097}]]}},
+            2,
+            "SchemaError",
+            id="series.precision",
+        ),
+        pytest.param(
+            "expand", {"function": {"num": [[4097, "1"]]}, "center": "0"}, 2, "SchemaError",
+            id="poly.exponent",
+        ),
+        pytest.param(
+            "stratum",
+            {"ring": {"type": "artinian", "m": 4097}, "loop": IDENTITY_LOOP},
+            5,
+            "DomainError",
+            id="ring.m",
+        ),
+        pytest.param(
+            "extend", {"datum": DIAG_DATUM, "modulus_power": 4097}, 5, "DomainError",
+            id="extend.modulus_power",
+        ),
+    ],
+)
+def test_integers_that_size_allocations_are_capped(tmp_path, capsys, command, doc, code, error):
+    # each of these would build a dense list or tuple of that length
+    got, _, err = run(capsys, [command, write(tmp_path, "big.json", doc)])
+    assert got == code and error in err and "4096" in err
+
+
+def test_h0_far_above_the_pole_bound_returns_at_once(tmp_path, capsys):
+    # B = 1, splitting type (1, -1): above B each twist adds n = 2 sections
+    path = write(tmp_path, "d.json", {"datum": DIAG_DATUM, "m": 10**9})
+    code, out, _ = run(capsys, ["h0", path])
+    assert code == 0 and json.loads(out) == {"h0": 2 * 10**9 + 2}
+
+
 def test_exit_code_domain(tmp_path, capsys):
     datum = {"points": ["1", "1"], "loops": [DIAG_LOOP, DIAG_LOOP], "infinity_loop": None}
     path = write(tmp_path, "dup.json", {"datum": datum})

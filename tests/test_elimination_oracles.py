@@ -7,6 +7,13 @@ carries the inverse as a second matrix in lockstep.  On a seeded corpus every
 value (each entry's group, shift, coefficients and window) and every error
 (class, message, suggested precision) must agree exactly.
 
+`h0` and `splitting_type` count sections for all twists from one echelon
+pass.  The oracle below is the per-twist count it replaced: every twist
+rebuilds its rows and ranks them alone, and `splitting_type` reads h0 at
+each m = -B-1..B.  Values, error classes and suggested precisions must
+agree; a message may differ only in the exponent it names, since the pass
+builds the rows of the top twist first.
+
 The oracle pivot takes every entry known to be nonzero.  Over k[x]/(x^m) the
 library pivot also needs a unit leading coefficient, so there the library
 may return an inverse where the oracle raised NonUnitLeading; that inverse
@@ -16,18 +23,32 @@ finds no pivot left, the determinant must not be a unit.
 
 import itertools
 import random
+import re
 
 from loopgr import (
     QQ,
     ArtinianRing,
     LaurentSeries,
     LoopMatrix,
+    ModificationDatum,
     PrimeField,
+    SplittingType,
+    h0,
+    random_loop,
     smith_normal_form,
+    splitting_type,
 )
 from loopgr.cartan import CartanFactorization, Cocharacter, _certify
-from loopgr.errors import Error, InsufficientPrecision, SingularToPrecision
+from loopgr.errors import (
+    DomainError,
+    Error,
+    InconsistentH0,
+    InsufficientPrecision,
+    SingularToPrecision,
+)
 from loopgr.loops import _least_valuation
+from loopgr.p1bundles import _condition_rows, _pole_bounds, _reciprocal
+from loopgr.series import DEFAULT_PRECISION
 
 # -- the oracles ---------------------------------------------------------------
 
@@ -115,6 +136,96 @@ def full_smith_normal_form(a, precision):
     )
     _certify(a, fact, precision)
     return fact
+
+
+def _rank(ring, rows) -> int:
+    """Rank by forward elimination; only the entries right of each pivot
+    column are updated, since nothing to their left is read again."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(ncols):
+        if rank == len(rows):
+            break
+        pivot = next((i for i in range(rank, len(rows)) if not ring.is_zero(rows[i][col])), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inv = ring.inv(top[col])
+        for row in rows[rank + 1 :]:
+            if ring.is_zero(row[col]):
+                continue
+            c = ring.mul(row[col], inv)
+            for j in range(col + 1, ncols):
+                row[j] = ring.sub(row[j], ring.mul(c, top[j]))
+        rank += 1
+    return rank
+
+
+def per_twist_h0(datum, m, precision=None):
+    ring = datum.ring
+    if not ring.is_field:
+        raise DomainError("section counting needs a field backend")
+    n = datum.n
+    bounds, binf = _pole_bounds(datum, precision)
+    total = sum(bounds)
+    deg = m + total + binf
+    if deg < 0:
+        return 0
+    work = precision or DEFAULT_PRECISION
+    rows = []
+    for i, (p, nb) in enumerate(zip(datum.points, bounds)):
+        if nb == 0:
+            continue
+        # t^k / prod_j (t - r_j)^{N_j} at r_i is (t + r_i)^k * local, where
+        # local = t^{-N_i} / prod_{j != i} (t + r_i - r_j)^{N_j}
+        others = [
+            ((ring.sub(p.r, q.r), ring.one), nq)
+            for j, (q, nq) in enumerate(zip(datum.points, bounds))
+            if j != i
+        ]
+        basis = [_reciprocal(ring, others, 2 * nb + 2).shifted(-nb)]
+        lin = LaurentSeries.from_terms(ring, [(0, p.r), (1, ring.one)])
+        for _ in range(deg):
+            basis.append(basis[-1].mul(lin))
+        alpha_inv = datum.loops[i].inverse(max(work, 2 * nb + 2))
+        rows.extend(_condition_rows(ring, alpha_inv, basis, range(-2 * nb, 0), precision))
+
+    if datum.infinity_loop is not None:
+        # in s = 1/t, t^k / prod_j (t - r_j)^{N_j} is
+        # s^{total - k} / prod_j (1 - r_j s)^{N_j}
+        inv_denom = _reciprocal(
+            ring,
+            [((ring.one, ring.neg(q.r)), nq) for q, nq in zip(datum.points, bounds)],
+            2 * binf + 4,
+        )
+        basis = [inv_denom.shifted(total - k) for k in range(deg + 1)]
+        alpha_inv = datum.infinity_loop.inverse(max(work, 2 * binf + abs(m) + 2))
+        rows.extend(
+            _condition_rows(ring, alpha_inv, basis, range(-m - 2 * binf, -m), precision)
+        )
+
+    # the library orders the columns by degree; a rank ignores the order
+    return n * (deg + 1) - _rank(ring, rows)
+
+
+def per_twist_splitting_type(datum, precision=None):
+    n = datum.n
+    bounds, binf = _pole_bounds(datum, precision)
+    bound = sum(bounds) + binf
+    table = [per_twist_h0(datum, m, precision) for m in range(-bound - 1, bound + 1)]
+    a = []
+    prev = 0
+    for m, (low, high) in enumerate(zip(table, table[1:]), -bound):
+        c = high - low
+        if c < prev or c > n:
+            raise InconsistentH0("section increments are not monotone in [0, n]")
+        a.extend([-m] * (c - prev))
+        prev = c
+    if prev != n:
+        raise InconsistentH0("section increments never reach the rank")
+    return SplittingType(tuple(a))
 
 
 # -- a seeded corpus -----------------------------------------------------------
@@ -247,3 +358,52 @@ def test_smith_normal_form_matches_full_update_oracle():
         seen.append(got)
     assert {"InsufficientPrecision", "SingularToPrecision"} <= _errors(seen)
     assert len(seen) >= 150
+
+
+def _data(seed, count):
+    """(datum, precision) pairs over QQ and GF(10007): ranks 1-3, 0-2 marked
+    points, a loop at infinity or not, loops exact or truncated at 6 or 3."""
+    rng = random.Random(seed)
+    while count:
+        ring = rng.choice([QQ, PrimeField(10007)])
+        n, cut = rng.randint(1, 3), rng.choice((None, 6, 3))
+
+        def loop():
+            lp = random_loop(n, rng.randint(0, 2), rng.randrange(10**6), ring)
+            return lp if cut is None else LoopMatrix([[e.truncated(cut) for e in r] for r in lp.rows])
+
+        points = ("0", "1")[: rng.randint(0, 2)]
+        loops = tuple(loop() for _ in points)
+        inf = loop() if rng.random() < 0.5 else None
+        try:
+            datum = ModificationDatum(ring, n, points, loops, inf)
+        except DomainError:  # a truncated loop can be singular on its window
+            continue
+        count -= 1
+        yield datum, rng.choice((None, 24)), rng
+
+
+def _counted(fn):
+    try:
+        return "ok", fn()
+    except Error as exc:
+        return type(exc).__name__, re.sub(r"-?\d+", "#", str(exc)), exc.suggested_precision
+
+
+def test_section_counts_match_per_twist_oracle():
+    seen, far = [], 0
+    for d, p, rng in _data("h0-oracle", 240):
+        got = _counted(lambda: splitting_type(d, p))
+        assert got == _counted(lambda: per_twist_splitting_type(d, p))
+        seen.append(got)
+        try:
+            bounds, binf = _pole_bounds(d, p)
+        except Error:  # UnboundedPole, on both sides
+            bounds, binf = [], 2
+        bound = sum(bounds) + binf
+        for m in {-bound - 2, -bound, rng.randint(-bound, bound), bound, bound + 1, bound + 3}:
+            got = _counted(lambda: h0(d, m, p))
+            assert got == _counted(lambda: per_twist_h0(d, m, p)), (m, bound)
+            far += m > bound and got[0] == "ok"
+    assert {"ok", "InsufficientPrecision"} <= {o[0] for o in seen}
+    assert far >= 200

@@ -1,7 +1,7 @@
 import pytest
 
 from loopgr import QQ, ArtinianRing, LaurentSeries, PrimeField, monomial_loop
-from loopgr.errors import SchemaError
+from loopgr.errors import DomainError, SchemaError
 from loopgr import jsonio
 
 
@@ -30,6 +30,20 @@ def test_series_schema_strict():
         jsonio.series_from_json(QQ, {"terms": [[0, "1", "2"]]})
     with pytest.raises(SchemaError):
         jsonio.series_from_json(QQ, {"terms": [["0", "1"]]})
+
+
+def test_sizes_are_capped_at_the_precision_cap():
+    for e in (4097, -4097):
+        with pytest.raises(SchemaError):
+            jsonio.series_from_json(QQ, {"terms": [[e, "1"]]})
+        with pytest.raises(SchemaError):
+            jsonio.series_from_json(QQ, {"terms": [[0, "1"]], "precision": e})
+    with pytest.raises(SchemaError):
+        jsonio.function_from_json(QQ, {"num": [[4097, "1"]]})
+    with pytest.raises(DomainError):
+        jsonio.ring_from_json({"type": "artinian", "m": 4097})
+    s = jsonio.series_from_json(QQ, {"terms": [[-4096, "1"], [4095, "2"]], "precision": 4096})
+    assert (s.shift, s.known_end) == (-4096, 4096)
 
 
 def test_artinian_scalar_roundtrip():

@@ -280,8 +280,8 @@ def total_pole_bound(d):
 
 
 def test_splitting_type_matches_every_section_count():
-    # the per-twist h0 is the oracle, on the range -(nB+1)..nB+1 that the
-    # scan read before it was cut to -B-1..B
+    # h0 read one twist at a time is the oracle, on the range -(nB+1)..nB+1
+    # that the scan read before it was cut to -B-1..B
     for seed in range(3):
         rng = random.Random(f"p1-oracle:{seed}")
         pts = ["0", "1"][: rng.randint(1, 2)]
@@ -293,20 +293,35 @@ def test_splitting_type_matches_every_section_count():
 
 
 def test_splitting_type_and_is_trivial_call_counts(monkeypatch):
-    calls = []
+    calls, passes, reciprocals = [], [], []
+    section_counts, reciprocal = p1bundles._section_counts, p1bundles._reciprocal
 
     def counting_h0(datum, m, precision=None):
         calls.append(m)
         return h0(datum, m, precision)
 
+    def counting_passes(datum, low, high, precision):
+        passes.append((low, high))
+        return section_counts(datum, low, high, precision)
+
+    def counting_reciprocal(ring, factors, window):
+        reciprocals.append(window)
+        return reciprocal(ring, factors, window)
+
     monkeypatch.setattr(p1bundles, "h0", counting_h0)
+    monkeypatch.setattr(p1bundles, "_section_counts", counting_passes)
+    monkeypatch.setattr(p1bundles, "_reciprocal", counting_reciprocal)
     d = ModificationDatum.at_points(
         QQ, ["0", "1"], [random_loop(2, 1, 3), unipotent()], monomial_loop(QQ, (1, -1))
     )
     bound = total_pole_bound(d)
     assert bound >= 3
     splitting_type(d)
-    assert calls == list(range(-bound - 1, bound + 1))
+    # one pass for m = -B-1..B; its rows are built once: one reciprocal per
+    # point with a pole and one at infinity
+    assert calls == []
+    assert passes == [(-bound - 1, bound)]
+    assert len(reciprocals) == 3
     calls.clear()
     assert is_trivial(one_point(unipotent()))
     assert calls == [-1, 0]
@@ -314,6 +329,15 @@ def test_splitting_type_and_is_trivial_call_counts(monkeypatch):
     calls.clear()
     assert not is_trivial(one_point(monomial_loop(QQ, (-1, 1))))
     assert calls == [-1]
+
+
+def test_h0_above_the_pole_bound_is_linear_in_the_twist():
+    # every a_i >= -B, so h0(m) = h0(B) + n(m - B) for m > B; no rows are
+    # built beyond twist B, so a huge twist costs what h0(B) costs
+    d = ModificationDatum.at_points(QQ, ["0", "1"], [random_loop(2, 1, 3), unipotent()])
+    st, bound = splitting_type(d), total_pole_bound(d)
+    for m in (bound + 1, bound + 3, 10**9, -(10**9)):
+        assert h0(d, m) == st.sections(m)
 
 
 def test_splitting_type_bound_and_degree_property():

@@ -64,6 +64,13 @@ def test_artinian_requires_field_base():
         ArtinianRing(ArtinianRing(QQ, 2), 2)
 
 
+def test_artinian_nilpotency_order_is_capped():
+    # the order sizes every element tuple
+    assert ArtinianRing(QQ, 4096).m == 4096
+    with pytest.raises(DomainError):
+        ArtinianRing(QQ, 4097)
+
+
 def test_ring_laws_random(any_ring):
     ring = any_ring
     rng = random.Random(f"laws:{ring.name}")
