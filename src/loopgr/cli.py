@@ -133,9 +133,7 @@ def _cmd_glue(doc, precision, seed):
     ring = _ring_of(doc)
     fields = jsonio._take(doc, "input", ("datum",), ("ring",))
     datum = jsonio.datum_from_json(ring, fields["datum"])
-    loops = list(datum.loops) + (
-        [datum.infinity_loop] if datum.infinity_loop is not None else []
-    )
+    loops = datum.all_loops
     bounds = [lp.pole_bound(precision) for lp in loops]
     det_vals = [lp.det().valuation for lp in loops]
     if None in det_vals:
@@ -181,8 +179,8 @@ def _cmd_lift(doc, precision, seed):
     fields = jsonio._take(doc, "input", ("factorization", "modulus_power"), ("ring",))
     fact = jsonio.factorization_from_json(ring, fields["factorization"])
     m = fields["modulus_power"]
-    if not jsonio._is_int(m) or m < 1:
-        raise SchemaError("lift: modulus_power must be a positive int")
+    if not jsonio._is_int(m):
+        raise SchemaError("lift: modulus_power must be an int")
     target = ArtinianRing(ring, m)
     lifted = factorization.lift_factorization(fact, target)
     out = {
@@ -197,8 +195,8 @@ def _cmd_extend(doc, precision, seed):
     fields = jsonio._take(doc, "input", ("datum", "modulus_power"), ("ring", "perturb"))
     datum = jsonio.datum_from_json(ring, fields["datum"])
     m = fields["modulus_power"]
-    if not jsonio._is_int(m) or m < 1:
-        raise SchemaError("extend: modulus_power must be a positive int")
+    if not jsonio._is_int(m):
+        raise SchemaError("extend: modulus_power must be an int")
     target = ArtinianRing(ring, m)
     perturbations = None
     if fields.get("perturb"):

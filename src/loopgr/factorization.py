@@ -4,7 +4,8 @@ Over the Laurent-series field every determinant-one 2x2 loop is a product of
 at most a handful of transvections E12(x) = I + x*e12, E21(x) = I + x*e21.
 The branch order is fixed: if the (2,1) entry is detectably nonzero the
 three-factor identity applies; if it vanishes to precision but (1,2) does
-not, premultiply by E21(1) and retry; if both vanish, use the diagonal
+not, apply E21(1) as the row operation "row 2 += row 1" and use the
+three-factor identity on the result; if both vanish, use the diagonal
 (Whitehead) identity  diag(u, 1/u) = E21(1/u) E12(1-u) E21(-1) E12(1-1/u).
 
 Factor parameters lift coefficientwise over k[x]/(x^m); reducing modulo the
@@ -80,8 +81,7 @@ def _unit_entry(e: LaurentSeries) -> bool:
 def factor_elementary(m: LoopMatrix, precision: int | None = None) -> Factorization:
     """Factor a determinant-one 2x2 loop into elementary matrices.
 
-    At most 5 factors on the generic branches and at most 8 through the
-    diagonal identity; exactly-zero parameters are dropped.  Division keeps
+    At most 4 factors; exactly-zero parameters are dropped.  Division keeps
     parameters exact whenever the pivot divides exactly.
     """
     if m.n != 2:
@@ -95,48 +95,47 @@ def factor_elementary(m: LoopMatrix, precision: int | None = None) -> Factorizat
     one = LaurentSeries.one(ring)
     if not m.det().agrees_with(one):
         raise DomainError("loop determinant must be 1 to precision")
-    factors = _factor(m, precision, depth=0)
+    factors = _factor(m, precision)
     out = Factorization(ring, tuple(f for f in factors if not f.parameter.is_exact_zero))
-    if len(out) > 8:
+    if len(out) > 4:
         raise InsufficientPrecision("factorization exceeded the factor bound", precision)
     return out
 
 
-def _factor(m: LoopMatrix, precision, depth: int) -> list[ElementaryFactor]:
-    ring = m.ring
-    one = LaurentSeries.one(ring)
-    a, b = m.entry(0, 0), m.entry(0, 1)
-    c, d = m.entry(1, 0), m.entry(1, 1)
+def _factor(m: LoopMatrix, precision) -> list[ElementaryFactor]:
+    one = LaurentSeries.one(m.ring)
+    (a, b), (c, d) = m.rows
     # already a single transvection (or the identity): one factor at most
     if a == one and d == one:
         if c.is_exact_zero:
             return [ElementaryFactor((1, 2), b)]
         if b.is_exact_zero:
             return [ElementaryFactor((2, 1), c)]
+    head = []
+    if c.is_zero_to_precision and _unit_entry(b):
+        # E21(1) m: row 2 += row 1.  If a + c is zero on its window, so is
+        # a + (a + c), and a second premultiplication cannot help
+        c, d = a.add(c), b.add(d)
+        if not _unit_entry(c):
+            raise InsufficientPrecision(
+                "cannot certify a unit pivot after premultiplication", precision
+            )
+        head = [ElementaryFactor((2, 1), one.neg())]
     if _unit_entry(c):
         x = a.sub(one).div(c, precision)
         y = d.sub(one).div(c, precision)
-        return [
+        return head + [
             ElementaryFactor((1, 2), x),
             ElementaryFactor((2, 1), c),
             ElementaryFactor((1, 2), y),
         ]
-    if c.is_zero_to_precision and _unit_entry(b):
-        if depth >= 2:
-            raise InsufficientPrecision(
-                "cannot certify a unit pivot after premultiplication", precision
-            )
-        shear = elementary_loop(ring, 2, 1, 0, one)  # E21(1)
-        rest = _factor(shear.mat_mul(m), precision, depth + 1)
-        return [ElementaryFactor((2, 1), one.neg())] + rest
     if c.is_zero_to_precision and b.is_zero_to_precision and _unit_entry(a):
-        u = a
-        u_inv = u.invert(precision)
+        a_inv = a.invert(precision)
         return [
-            ElementaryFactor((2, 1), u_inv),
-            ElementaryFactor((1, 2), one.sub(u)),
+            ElementaryFactor((2, 1), a_inv),
+            ElementaryFactor((1, 2), one.sub(a)),
             ElementaryFactor((2, 1), one.neg()),
-            ElementaryFactor((1, 2), one.sub(u_inv)),
+            ElementaryFactor((1, 2), one.sub(a_inv)),
         ]
     raise InsufficientPrecision(
         "no entry with certifiable valuation to pivot the factorization", precision
@@ -229,10 +228,7 @@ def extend_point(
         raise NotImplementedError("extension is implemented for rank 2 only")
     perturbations = perturbations or {}
     lifted_loops = []
-    all_loops = list(datum.loops)
-    if datum.infinity_loop is not None:
-        all_loops.append(datum.infinity_loop)
-    for i, lp in enumerate(all_loops):
+    for i, lp in enumerate(datum.all_loops):
         fact = factor_elementary(lp, precision)
         lifted = lift_factorization(fact, target, perturbations.get(i)).product()
         det = lifted.det()

@@ -199,15 +199,12 @@ def datum_from_json(ring: Ring, obj) -> ModificationDatum:
     loops = [loop_from_json(ring, l) for l in _expect(fields["loops"], list, "datum.loops")]
     inf = fields.get("infinity_loop")
     inf_loop = loop_from_json(ring, inf) if inf is not None else None
-    if loops:
-        n = loops[0].n
-    elif inf_loop is not None:
-        n = inf_loop.n
+    if loops or inf_loop is not None:
+        n = (loops[0] if loops else inf_loop).n
+    elif fields.get("n") is None:
+        raise SchemaError("datum: empty data need an explicit rank field n")
     else:
-        n = fields.get("n")
-        if n is None:
-            raise SchemaError("datum: empty data need an explicit rank field n")
-        n = _expect(n, int, "datum.n")
+        n = _expect(fields["n"], int, "datum.n")
     return _wrap(
         "datum", ModificationDatum, ring, n, tuple(points), tuple(loops), inf_loop
     )

@@ -145,29 +145,34 @@ class LoopMatrix:
         key = precision if precision is not None else DEFAULT_PRECISION
         if key in self._inverse:
             return self._inverse[key]
-        ring = self.ring
-        d = self.det() if self.n <= 3 else None
+        n = self.n
+        d = self.det() if n <= 3 else None
         if d is not None and d.is_exact_zero:
             raise SingularToPrecision("determinant is exactly zero")
         if d is not None and not d.is_zero_to_precision:
             inv_det = d.invert(precision)
-            full = tuple(range(self.n))
+            full = tuple(range(n))
             without = [full[:k] + full[k + 1 :] for k in full]
             memo = {}
-            rows = []
-            for i in range(self.n):
-                row = []
-                for j in range(self.n):
-                    # cofactor (j, i): the minor without row j and column i
-                    cof = (
-                        _minor(self.rows, without[j], without[i], memo)
-                        if self.n > 1
-                        else LaurentSeries.one(ring)
-                    )
-                    if (i + j) % 2 == 1:
-                        cof = cof.neg()
-                    row.append(cof.mul(inv_det))
-                rows.append(row)
+
+            def cofactor(j, i):  # the signed minor without row j and column i
+                if n == 1:
+                    return LaurentSeries.one(self.ring)
+                m = _minor(self.rows, without[j], without[i], memo)
+                return m.neg() if (i + j) % 2 else m
+
+            rows = [[cofactor(j, i).mul(inv_det) for j in full] for i in full]
+            if any(not e.is_exact for r in self.rows for e in r):
+                # both inverses are certified and neither path always gives
+                # the longer window: each entry keeps the longer of the two
+                try:
+                    other = self._gauss_inverse(precision).rows
+                except (InsufficientPrecision, NonUnitLeading, SingularToPrecision):
+                    other = rows
+                rows = [
+                    [max(x, y, key=lambda e: (e.is_exact, e.known_end or 0)) for x, y in zip(rx, ry)]
+                    for rx, ry in zip(rows, other)
+                ]
             result = LoopMatrix(rows, self.group)
         else:
             # n >= 4, or a determinant zero only on its window: elimination
@@ -385,6 +390,7 @@ def random_loop(n: int, pole: int, seed: int, ring: Ring | None = None) -> LoopM
     lam = tuple(sorted((rng.randint(-pole, pole) for _ in range(n)), reverse=True))
     left = random_positive(n, rng.randrange(2**30), ring)
     right = random_positive(n, rng.randrange(2**30), ring)
-    out = left.mat_mul(monomial_loop(ring, lam)).mat_mul(right)
+    scaled = LoopMatrix([[e.shifted(k) for e, k in zip(r, lam)] for r in left.rows])
+    out = scaled.mat_mul(right)
     out.built_from = lam
     return out

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .cartan import Cocharacter, stratum
 from .errors import (
+    MAX_PRECISION,
     DomainError,
     InconsistentH0,
     InsufficientPrecision,
@@ -76,6 +77,8 @@ class ModificationDatum:
     infinity_loop: LoopMatrix | None = None
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_PRECISION:
+            raise DomainError(f"datum rank must be an int in [1, {MAX_PRECISION}], got {self.n!r}")
         pts = tuple(
             p if isinstance(p, MarkedPoint) else MarkedPoint(self.ring.of(p))
             for p in self.points
@@ -91,10 +94,7 @@ class ModificationDatum:
                     raise MarkedPointError(
                         "marked points must have unit pairwise differences"
                     )
-        all_loops = list(self.loops) + (
-            [self.infinity_loop] if self.infinity_loop is not None else []
-        )
-        for lp in all_loops:
+        for lp in self.all_loops:
             if lp.n != self.n:
                 raise DomainError("loop size does not match the datum rank")
             lp.ring.require_same(self.ring)
@@ -102,6 +102,11 @@ class ModificationDatum:
             # singular; inverse() decides that with its own pivots
             if lp.det().is_exact_zero:
                 raise DomainError("every loop must be invertible to precision")
+
+    @property
+    def all_loops(self) -> tuple[LoopMatrix, ...]:
+        """The loops at the points in order, then the infinity loop if any."""
+        return self.loops + ((self.infinity_loop,) if self.infinity_loop is not None else ())
 
     @classmethod
     def empty(cls, ring: Ring, n: int) -> "ModificationDatum":
@@ -160,9 +165,8 @@ def expand_at(v, datum: ModificationDatum, i: int, precision: int | None = None)
 
 
 def _pole_bounds(datum: ModificationDatum, precision):
-    loops = datum.loops + ((datum.infinity_loop,) if datum.infinity_loop is not None else ())
     try:
-        bounds = [lp.pole_bound(precision) for lp in loops]
+        bounds = [lp.pole_bound(precision) for lp in datum.all_loops]
     except InsufficientPrecision as exc:
         raise UnboundedPole("cannot certify a finite pole bound for a loop of the datum") from exc
     return bounds[: len(datum.loops)], sum(bounds[len(datum.loops) :])
@@ -351,10 +355,7 @@ def is_isomorphic(
 
 def strata_of(datum: ModificationDatum, precision: int | None = None) -> list[Cocharacter]:
     """Stratum of each loop, in point order, with the infinity loop last."""
-    out = [stratum(lp, precision) for lp in datum.loops]
-    if datum.infinity_loop is not None:
-        out.append(stratum(datum.infinity_loop, precision))
-    return out
+    return [stratum(lp, precision) for lp in datum.all_loops]
 
 
 def all_strata_zero(datum: ModificationDatum, precision: int | None = None) -> bool:

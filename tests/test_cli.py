@@ -373,12 +373,33 @@ def test_boolean_is_not_an_int(tmp_path, capsys, command, doc):
             "extend", {"datum": DIAG_DATUM, "modulus_power": 4097}, 5, "DomainError",
             id="extend.modulus_power",
         ),
+        # ArtinianRing alone rules on the nilpotency order, at both ends
+        pytest.param(
+            "extend", {"datum": DIAG_DATUM, "modulus_power": 0}, 5, "DomainError",
+            id="extend.modulus_power.0",
+        ),
+        pytest.param(
+            "lift",
+            {"factorization": {"factors": [{"pos": [1, 2], "param": ONE}]}, "modulus_power": 0},
+            5,
+            "DomainError",
+            id="lift.modulus_power.0",
+        ),
     ],
 )
 def test_integers_that_size_allocations_are_capped(tmp_path, capsys, command, doc, code, error):
     # each of these would build a dense list or tuple of that length
     got, _, err = run(capsys, [command, write(tmp_path, "big.json", doc)])
     assert got == code and error in err and "4096" in err
+
+
+@pytest.mark.parametrize("n", [-3, 0, 4097])
+@pytest.mark.parametrize("command, extra", [("h0", {"m": 3}), ("splitting-type", {})])
+def test_datum_rank_out_of_range_is_a_domain_error(tmp_path, capsys, command, extra, n):
+    # n = -3 once printed {"h0": -12} for h0 and InconsistentH0 for splitting-type
+    datum = {"points": [], "loops": [], "infinity_loop": None, "n": n}
+    code, out, err = run(capsys, [command, write(tmp_path, "n.json", {"datum": datum, **extra})])
+    assert code == 5 and out == "" and "DomainError" in err and "4096" in err
 
 
 def test_h0_far_above_the_pole_bound_returns_at_once(tmp_path, capsys):

@@ -14,6 +14,12 @@ each m = -B-1..B.  Values, error classes and suggested precisions must
 agree; a message may differ only in the exponent it names, since the pass
 builds the rows of the top twist first.
 
+`factor_elementary` applies the premultiplication by E21(1) as one row
+operation and goes straight to the three-factor identity.  The oracle below is
+the recursion it replaced: it forms E21(1) m as a loop product and factors that
+again, up to depth 2.  Values, error classes, messages and suggested
+precisions must agree exactly.
+
 The oracle pivot takes every entry known to be nonzero.  Over k[x]/(x^m) the
 library pivot also needs a unit leading coefficient, so there the library
 may return an inverse where the oracle raised NonUnitLeading; that inverse
@@ -21,6 +27,7 @@ is checked on both sides against the identity.  Where the library instead
 finds no pivot left, the determinant must not be a unit.
 """
 
+import collections
 import itertools
 import random
 import re
@@ -39,6 +46,12 @@ from loopgr import (
     splitting_type,
 )
 from loopgr.cartan import CartanFactorization, Cocharacter, _certify
+from loopgr.factorization import (
+    ElementaryFactor,
+    Factorization,
+    _unit_entry,
+    factor_elementary,
+)
 from loopgr.errors import (
     DomainError,
     Error,
@@ -46,7 +59,7 @@ from loopgr.errors import (
     InsufficientPrecision,
     SingularToPrecision,
 )
-from loopgr.loops import _least_valuation
+from loopgr.loops import _least_valuation, elementary_loop
 from loopgr.p1bundles import _condition_rows, _pole_bounds, _reciprocal
 from loopgr.series import DEFAULT_PRECISION
 
@@ -228,6 +241,57 @@ def per_twist_splitting_type(datum, precision=None):
     return SplittingType(tuple(a))
 
 
+def recursive_factor_elementary(m, precision=None):
+    """`factor_elementary` after its input checks, with the recursive
+    `_factor` below."""
+    factors = _factor(m, precision, depth=0)
+    out = Factorization(m.ring, tuple(f for f in factors if not f.parameter.is_exact_zero))
+    if len(out) > 8:
+        raise InsufficientPrecision("factorization exceeded the factor bound", precision)
+    return out
+
+
+def _factor(m: LoopMatrix, precision, depth: int) -> list[ElementaryFactor]:
+    ring = m.ring
+    one = LaurentSeries.one(ring)
+    a, b = m.entry(0, 0), m.entry(0, 1)
+    c, d = m.entry(1, 0), m.entry(1, 1)
+    # already a single transvection (or the identity): one factor at most
+    if a == one and d == one:
+        if c.is_exact_zero:
+            return [ElementaryFactor((1, 2), b)]
+        if b.is_exact_zero:
+            return [ElementaryFactor((2, 1), c)]
+    if _unit_entry(c):
+        x = a.sub(one).div(c, precision)
+        y = d.sub(one).div(c, precision)
+        return [
+            ElementaryFactor((1, 2), x),
+            ElementaryFactor((2, 1), c),
+            ElementaryFactor((1, 2), y),
+        ]
+    if c.is_zero_to_precision and _unit_entry(b):
+        if depth >= 2:
+            raise InsufficientPrecision(
+                "cannot certify a unit pivot after premultiplication", precision
+            )
+        shear = elementary_loop(ring, 2, 1, 0, one)  # E21(1)
+        rest = _factor(shear.mat_mul(m), precision, depth + 1)
+        return [ElementaryFactor((2, 1), one.neg())] + rest
+    if c.is_zero_to_precision and b.is_zero_to_precision and _unit_entry(a):
+        u = a
+        u_inv = u.invert(precision)
+        return [
+            ElementaryFactor((2, 1), u_inv),
+            ElementaryFactor((1, 2), one.sub(u)),
+            ElementaryFactor((2, 1), one.neg()),
+            ElementaryFactor((1, 2), one.sub(u_inv)),
+        ]
+    raise InsufficientPrecision(
+        "no entry with certifiable valuation to pivot the factorization", precision
+    )
+
+
 # -- a seeded corpus -----------------------------------------------------------
 
 
@@ -320,6 +384,13 @@ def _fact_key(f):
     return _loop_key(f.left), f.cocharacter.entries, _loop_key(f.right)
 
 
+def _factors_key(f):
+    return tuple(
+        (x.position, x.parameter.shift, repr(x.parameter.coeffs), x.parameter.known_end)
+        for x in f.factors
+    )
+
+
 def _errors(outcomes):
     return {o[0] for o in outcomes if o[0] != "ok"}
 
@@ -358,6 +429,64 @@ def test_smith_normal_form_matches_full_update_oracle():
         seen.append(got)
     assert {"InsufficientPrecision", "SingularToPrecision"} <= _errors(seen)
     assert len(seen) >= 150
+
+
+def _sl2_corpus(seed, count):
+    """(loop, precision) pairs over QQ and GF(10007) whose determinant agrees
+    with 1: products of 0-4 transvections with exact or truncated parameters,
+    or diagonal loops; then c replaced by O(t^k) or truncated, sometimes with
+    a or b unknown too, so that the premultiplication and both raise sites
+    are met."""
+    rng = random.Random(seed)
+    while count:
+        ring = rng.choice([QQ, PrimeField(10007)])
+        one, zero = LaurentSeries.one(ring), LaurentSeries.zero(ring)
+        if rng.random() < 0.1:
+            u = _series(ring, rng, 0, 2).shifted(rng.randint(-2, 2))
+            if not u.coeffs:
+                continue
+            if rng.random() < 0.5:
+                u = u.truncated(u.shift + rng.randint(1, 5))
+            rows = [[u, zero], [zero, u.invert(rng.choice((4, 16)))]]
+        else:
+            rows = [[one, zero], [zero, one]]
+            for _ in range(rng.randint(0, 4)):
+                i, j = rng.choice(((0, 1), (1, 0)))
+                x = _series(ring, rng, -1, 1)
+                if rng.random() < 0.3:
+                    x = x.truncated(rng.randint(-1, 4))
+                for r in rows:
+                    r[j] = r[j].add(r[i].mul(x))
+        mode, k = rng.randrange(6), rng.randint(-2, 4)
+        if mode == 1:
+            rows = [[e.truncated(k + rng.randint(0, 3)) for e in r] for r in rows]
+        elif mode == 3:
+            rows[1][0] = rows[1][0].truncated(k)
+        elif mode > 1:
+            rows[1][0] = LaurentSeries.zero(ring, k)
+            if mode == 4:
+                rows[0][0] = rows[0][0].truncated(k + rng.randint(-1, 1))
+            elif mode == 5:
+                rows[0][1] = LaurentSeries.zero(ring, k + rng.randint(-1, 2))
+        m = LoopMatrix(rows)
+        if m.det().agrees_with(one):
+            count -= 1
+            yield m, rng.choice((None, 8))
+
+
+def test_factor_elementary_matches_recursive_oracle():
+    seen = []
+    for m, p in _sl2_corpus("factor-oracle", 3000):
+        got = outcome(lambda: factor_elementary(m, p), _factors_key)
+        assert got == outcome(lambda: recursive_factor_elementary(m, p), _factors_key)
+        c, b = m.entry(1, 0), m.entry(0, 1)
+        premultiplied = c.is_zero_to_precision and _unit_entry(b)
+        seen.append((premultiplied, got[0] if got[0] == "ok" else got[1]))
+    counts = collections.Counter(seen)
+    assert counts[True, "ok"] >= 200
+    assert counts[True, "cannot certify a unit pivot after premultiplication"] >= 200
+    assert counts[False, "no entry with certifiable valuation to pivot the factorization"] >= 200
+    assert counts[False, "ok"] >= 1500
 
 
 def _data(seed, count):

@@ -76,12 +76,29 @@ def test_rotation_standard_identity():
     assert f.product().agrees_with(rot)
 
 
+def test_premultiplication_is_one_row_operation(monkeypatch):
+    # c = 0 and b a unit: E21(1) adds row 1 to row 2, then the three-factor
+    # identity applies to [[t, 1], [t, 1 + 1/t]]; no loop product is formed
+    t = LaurentSeries.t_power(QQ, 1)
+    m = LoopMatrix([[t, LaurentSeries.one(QQ)], [LaurentSeries.zero(QQ), t.invert()]], "SL")
+
+    def no_mat_mul(self, other):
+        raise AssertionError("factorization called mat_mul")
+
+    monkeypatch.setattr(LoopMatrix, "mat_mul", no_mat_mul)
+    f = factor_elementary(m)
+    assert [x.position for x in f.factors] == [(2, 1), (1, 2), (2, 1), (1, 2)]
+    assert f.factors[0].parameter == LaurentSeries.constant(QQ, -1)
+    assert f.factors[2].parameter == t
+    assert f.product().agrees_with(m)
+
+
 def test_diagonal_whitehead_identity():
     u = LaurentSeries.from_terms(QQ, [(0, 1), (1, 1)])  # 1 + t
     uinv = u.invert(16)
     m = LoopMatrix([[u, LaurentSeries.zero(QQ)], [LaurentSeries.zero(QQ), uinv]])
     f = factor_elementary(m)
-    assert len(f) <= 8
+    assert len(f) <= 4
     assert f.product().agrees_with(m)
     assert all(x.position in ((1, 2), (2, 1)) for x in f.factors)
 
@@ -91,7 +108,7 @@ def test_factor_count_bound_and_reconstruction_random():
     for _ in range(60):
         m = random_sl2(rng)
         f = factor_elementary(m)
-        assert len(f) <= 8
+        assert len(f) <= 4
         assert f.product().agrees_with(m)
 
 

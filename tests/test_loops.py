@@ -129,6 +129,50 @@ def test_small_inverse_falls_back_to_elimination():
         LoopMatrix([[one, one], [one, one]]).inverse()
 
 
+def _window_ends(m):
+    return [e.known_end for r in m.rows for e in r]
+
+
+def test_truncated_small_inverse_keeps_the_longer_window_per_entry():
+    # a = 1 + t is exact, so elimination inverts its pivot at the working
+    # precision 2, while the cofactor path divides by the determinant on its
+    # own window; each entry keeps the longer of the two certified windows
+    a = LaurentSeries.from_terms(QQ, [(0, 1), (1, 1)])
+    b = LaurentSeries.from_terms(QQ, [(1, 1)], 4)
+    c = LaurentSeries.from_terms(QQ, [(0, 1), (1, 2)], 4)
+    d = LaurentSeries.from_terms(QQ, [(0, 3)], 4)
+    m = LoopMatrix([[a, b], [c, d]])
+    gauss = m._gauss_inverse(2)
+    assert _window_ends(gauss) == [2, 3, 2, 3]
+    inv = m.inverse(2)
+    assert _window_ends(inv) == [4, 4, 4, 4]
+    assert inv.agrees_with(gauss)
+    exact = LoopMatrix.from_rows(QQ, [[[(0, 1), (1, 1)], [(1, 1)]], [[(0, 1), (1, 2)], 3]])
+    assert inv.agrees_with(exact.inverse(8))
+
+
+def test_truncated_small_inverse_is_never_shorter_than_elimination():
+    rng = random.Random("inverse-windows")
+    longer = 0
+    for _ in range(40):
+        g = random_loop(rng.randint(1, 3), rng.randint(0, 2), rng.randrange(10**6))
+        # mostly exact entries: elimination then inverts exact pivots at the
+        # working precision
+        rows = [[e.truncated(rng.randint(2, 12)) if rng.random() < 0.2 else e for e in r] for r in g.rows]
+        m = LoopMatrix(rows)
+        for p in (None, 4):
+            try:
+                gauss = m._gauss_inverse(p)
+            except (InsufficientPrecision, SingularToPrecision):
+                continue
+            inv = LoopMatrix(rows).inverse(p)
+            assert inv.agrees_with(gauss) and inv.agrees_with(g.inverse(p))
+            ends = zip(_window_ends(inv), _window_ends(gauss))
+            assert all(x is None or (y is not None and y <= x) for x, y in ends)
+            longer += _window_ends(inv) != _window_ends(gauss)
+    assert longer >= 10
+
+
 def test_elimination_pivots_on_a_unit_leading_coefficient():
     # over QQ[x]/(x^2), x in corner (0, 0) has the least valuation but a
     # nilpotent leading coefficient, so the pivot must be the 1 below it

@@ -479,6 +479,35 @@ def test_small_loop_singular_on_its_window_gives_exact_counts():
     assert splitting_type(one_point(tr)).a == splitting_type(one_point(g)).a == (1, 0, 0)
 
 
+def test_truncated_small_loop_uses_the_longer_inverse_windows():
+    # every entry truncated at t^4: the cofactor inverse alone leaves the
+    # section counts undecided, the elimination windows decide them
+    g = random_loop(3, 2, 2)
+    tr = LoopMatrix([[e.truncated(4) for e in r] for r in g.rows])
+    assert splitting_type(one_point(tr)).a == splitting_type(one_point(g)).a == (1, 0, 0)
+
+
+@pytest.mark.parametrize("n", [-3, 0, 4097, 2.0])
+def test_datum_rank_is_an_int_in_range(n):
+    # the rank sizes the trivial splitting type and every section count
+    with pytest.raises(DomainError, match="4096"):
+        ModificationDatum.empty(QQ, n)
+
+
+def test_datum_rank_cap_is_inclusive():
+    assert ModificationDatum.empty(QQ, 1).n == 1
+    assert ModificationDatum.empty(QQ, 4096).n == 4096
+
+
+def test_all_loops_lists_the_points_then_infinity():
+    a, b, c = (random_loop(2, 1, s) for s in range(3))
+    d = ModificationDatum.at_points(QQ, ["0", "1"], [a, b])
+    assert d.all_loops == (a, b)
+    assert d.with_infinity(c).all_loops == (a, b, c)
+    assert ModificationDatum.empty(QQ, 2).all_loops == ()
+    assert strata_of(d.with_infinity(c)) == [stratum(lp) for lp in (a, b, c)]
+
+
 def test_product_coefficient_suggestion_exceeds_precision_in_use():
     a = LaurentSeries.from_terms(QQ, [(0, 1)], 4)
     b = LaurentSeries.one(QQ)
