@@ -133,7 +133,7 @@ def modify(datum: ModificationDatum, point, g: LoopMatrix) -> ModificationDatum:
     if g.n != datum.n:
         raise DomainError("modification size does not match the datum rank")
     for i, p in enumerate(datum.points):
-        if ring.eq(p.r, r):
+        if p.r == r:
             loops = list(datum.loops)
             loops[i] = loops[i].mat_mul(g)
             return ModificationDatum(ring, datum.n, datum.points, tuple(loops), datum.infinity_loop)
@@ -165,6 +165,8 @@ def expand_at(v, datum: ModificationDatum, i: int, precision: int | None = None)
 
 
 def _pole_bounds(datum: ModificationDatum, precision):
+    if not datum.ring.is_field:
+        raise DomainError("section counting needs a field backend")
     try:
         bounds = [lp.pole_bound(precision) for lp in datum.all_loops]
     except InsufficientPrecision as exc:
@@ -193,8 +195,6 @@ def _section_counts(datum: ModificationDatum, low: int, high: int, precision) ->
     once at the top twist, and each lower twist adds its n rows at s^(-m-1) at
     infinity.  h0(m) is the prefix width less the leading columns inside it."""
     ring = datum.ring
-    if not ring.is_field:
-        raise DomainError("section counting needs a field backend")
     n = datum.n
     bounds, binf = _pole_bounds(datum, precision)
     total = sum(bounds)

@@ -353,7 +353,7 @@ class LaurentSeries:
             hi = min(hi, end)
         lo = min(s.shift for s in (self, other) if s.coeffs)
         for e in range(lo, hi):
-            if not self.ring.eq(self.coefficient(e), other.coefficient(e)):
+            if self.coefficient(e) != other.coefficient(e):
                 return False
         return True
 
@@ -363,8 +363,7 @@ class LaurentSeries:
             and self.ring == other.ring
             and self.shift == other.shift
             and self.known_end == other.known_end
-            and len(self.coeffs) == len(other.coeffs)
-            and all(self.ring.eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
@@ -504,10 +503,8 @@ class RationalFunction:
         return (
             isinstance(other, RationalFunction)
             and self.ring == other.ring
-            and len(self.num) == len(other.num)
-            and len(self.den) == len(other.den)
-            and all(self.ring.eq(a, b) for a, b in zip(self.num, other.num))
-            and all(self.ring.eq(a, b) for a, b in zip(self.den, other.den))
+            and self.num == other.num
+            and self.den == other.den
         )
 
     def __hash__(self):

@@ -416,6 +416,35 @@ def test_exit_code_domain(tmp_path, capsys):
     assert code == 5 and "MarkedPointError" in err
 
 
+def test_section_counting_over_a_non_field_exits_domain(tmp_path, capsys):
+    ring = {"type": "artinian", "base": "Q", "m": 2}
+    loop = {
+        "n": 2,
+        "entries": [
+            [{"terms": [[-1, "1"]]}, {"terms": [[0, "1"]]}],
+            [{"terms": [[0, "1"]]}, {"terms": [], "precision": -1}],
+        ],
+        "group": "GL",
+    }
+    datum = {"points": ["0"], "loops": [loop], "infinity_loop": None}
+    for command, extra in (("h0", {"m": 0}), ("splitting-type", {})):
+        doc = {"ring": ring, "datum": datum, **extra}
+        code, out, err = run(capsys, [command, write(tmp_path, "a.json", doc)])
+        assert code == 5 and out == "" and "section counting needs a field" in err
+    # glue reads only pole bounds, so it still answers over k[x]/(x^2)
+    loop = {
+        "n": 2,
+        "entries": [
+            [{"terms": [[-1, ["1", "1"]]]}, {"terms": []}],
+            [{"terms": []}, {"terms": [[1, "1"]]}],
+        ],
+        "group": "GL",
+    }
+    datum = {"points": ["0"], "loops": [loop], "infinity_loop": None}
+    code, out, _ = run(capsys, ["glue", write(tmp_path, "g.json", {"ring": ring, "datum": datum})])
+    assert code == 0 and json.loads(out)["pole_bounds"] == [1]
+
+
 def test_precision_flag_bounds(capsys):
     code, _, err = run(capsys, ["stratum", "-", "--precision", "5000"])
     assert code == 2

@@ -7,6 +7,7 @@ import pytest
 
 from loopgr import (
     QQ,
+    ArtinianRing,
     LaurentSeries,
     LoopMatrix,
     MarkedPoint,
@@ -515,3 +516,20 @@ def test_product_coefficient_suggestion_exceeds_precision_in_use():
     with pytest.raises(InsufficientPrecision) as exc:
         _product_coefficient(QQ, a, b, 4, 1024)
     assert exc.value.suggested_precision > 1024
+
+
+def test_section_counting_refuses_a_non_field_before_the_pole_bound():
+    # the (2,2) entry hides its pole, so over k[x]/(x^2) the field check must
+    # come before any pole bound is attempted
+    A = ArtinianRing(QQ, 2)
+    one = LaurentSeries.one(A)
+    loop = LoopMatrix([[LaurentSeries.t_power(A, -1), one], [one, LaurentSeries.zero(A, -1)]])
+    d = ModificationDatum.at_points(A, ["0"], [loop])
+    with pytest.raises(DomainError, match="field backend"):
+        h0(d, 0)
+    with pytest.raises(DomainError, match="field backend"):
+        splitting_type(d)
+    # the pole bound alone still answers over k[x]/(x^m)
+    zero = LaurentSeries.zero(A)
+    u = LaurentSeries.from_terms(A, [(-1, A.add(A.one, A.gen()))])
+    assert LoopMatrix([[u, zero], [zero, LaurentSeries.t_power(A, 1)]]).pole_bound() == 1

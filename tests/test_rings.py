@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from loopgr import QQ, ArtinianRing, PrimeField
-from loopgr.errors import DomainError, NonUnitLeading
-from loopgr.rings import Ring
+from loopgr import QQ, ArtinianRing, LaurentSeries, PrimeField
+from loopgr.errors import BackendMismatch, DomainError, NonUnitLeading
+from loopgr.rings import RationalField, Ring
 
 from conftest import PolyModel
 
@@ -176,3 +176,72 @@ def test_qq_kernels_property():
             _check_qq_inv(a, length)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# equality: canonical values compare with ==, backends by their key
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [QQ, PrimeField(10007), ArtinianRing(QQ, 3), ArtinianRing(PrimeField(10007), 2)],
+    ids=lambda r: r.name,
+)
+def test_equality_is_value_equality_property(ring):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    raw = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
+    if isinstance(ring, ArtinianRing):
+        scalars = st.lists(raw, min_size=ring.m, max_size=ring.m).map(ring.of)
+    else:
+        scalars = raw.map(ring.of)
+    units = scalars.filter(ring.is_unit)
+    series = st.lists(st.tuples(st.integers(-3, 3), scalars), max_size=5).map(
+        lambda terms: LaurentSeries.from_terms(ring, terms)
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(scalars, scalars, units, series, series)
+    def check(a, b, u, s, t):
+        c = ring.sub(ring.add(a, b), b)
+        assert c == a and hash(c) == hash(a)
+        assert ring.mul(ring.mul(a, u), ring.inv(u)) == a
+        r = s.add(t).sub(t)
+        assert r == s and hash(r) == hash(s)
+
+    check()
+
+
+def _backends():
+    return [
+        RationalField(),
+        PrimeField(5),
+        PrimeField(7),
+        ArtinianRing(QQ, 2),
+        ArtinianRing(QQ, 3),
+        ArtinianRing(PrimeField(5), 2),
+    ]
+
+
+def test_backend_identity_is_key_equality():
+    shared = [QQ] + _backends()[1:]
+    rings = list(enumerate(shared)) + list(enumerate(_backends()))
+    for i, a in rings:
+        for j, b in rings:
+            if i == j:
+                assert a == b and a.key == b.key and hash(a) == hash(b)
+                assert len({a: 0, b: 1}) == 1
+                a.require_same(b)
+            else:
+                assert a != b and a.key != b.key
+                with pytest.raises(BackendMismatch):
+                    a.require_same(b)
+
+
+def test_artinian_tuples_are_canonical_on_entry():
+    A = ArtinianRing(PrimeField(7), 2)
+    z = A.of((7, 0))
+    assert z == A.zero and A.is_zero(z) and not A.is_unit(z)
+    with pytest.raises(NonUnitLeading):
+        A.inv(z)
+    assert A.of((8, 1)) == A.of([1, 1]) == (1, 1)
