@@ -8,13 +8,14 @@ precision 3, singular 4, domain 5.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
 from pathlib import Path
 
 from . import cartan, factorization, jsonio, p1bundles
-from .errors import MAX_PRECISION, Error, SchemaError, UndetectableValuation
+from .errors import Error, SchemaError, UndetectableValuation
 from .rings import ArtinianRing
 from .series import LaurentSeries
 
@@ -27,32 +28,30 @@ def _read(path: str, what: str) -> str:
         raise SchemaError(f"cannot read {what}: {exc}") from exc
 
 
-def _load(path: str):
-    text = _read(path, "input")
+def _parse(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"input is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # also an integer past Python's digit limit
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def _working_precision(value, what: str):
-    """A working precision: None for the default, else an int (not a bool)
-    in [1, MAX_PRECISION]."""
-    if value is not None and not (jsonio._is_int(value) and 1 <= value <= MAX_PRECISION):
-        raise SchemaError(f"{what} must be an int in [1, {MAX_PRECISION}], got {value!r}")
-    return value
-
-
-def _ring_of(doc):
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level input must be a JSON object")
-    return jsonio.ring_from_json(doc.get("ring"))
+@contextlib.contextmanager
+def _exact_digits():
+    """Print exact answers of any size: lift Python's int/str digit limit while a
+    command runs.  JSON is parsed outside; RationalField.parse caps literals itself."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _table(rows) -> str:
     rows = [[str(c) for c in r] for r in rows]
-    if not rows:
-        return ""
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     return "\n".join(
         "  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows
@@ -63,32 +62,23 @@ def _fmt_tuple(values) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
 
 
-# -- command handlers: each returns (json_doc, text) -------------------------
-# text may instead be a function, called only for --format text
+# -- command handlers: each takes the decoded input fields by name and returns
+# (json_doc, text); text may instead be a function, called only for --format text
 
 
-def _cmd_stratum(doc, precision, seed):
-    ring = _ring_of(doc)
-    fields = jsonio._take(doc, "input", ("loop",), ("ring",))
-    loop = jsonio.loop_from_json(ring, fields["loop"])
-    lam = cartan.stratum(loop, precision)
+def _cmd_stratum(fields, precision, seed):
+    lam = cartan.stratum(fields["loop"], precision)
     return jsonio.cocharacter_to_json(lam), f"stratum  {_fmt_tuple(lam.entries)}"
 
 
-def _cmd_coarse(doc, precision, seed):
-    ring = _ring_of(doc)
-    fields = jsonio._take(doc, "input", ("loop",), ("ring",))
-    loop = jsonio.loop_from_json(ring, fields["loop"])
-    cs = cartan.coarse_stratum(loop, precision)
+def _cmd_coarse(fields, precision, seed):
+    cs = cartan.coarse_stratum(fields["loop"], precision)
     text = "coarse stratum  " + "  ".join(_fmt_tuple(c.entries) for c in cs.orbit)
     return jsonio.coarse_to_json(cs), text
 
 
-def _cmd_snf(doc, precision, seed):
-    ring = _ring_of(doc)
-    fields = jsonio._take(doc, "input", ("loop",), ("ring",))
-    loop = jsonio.loop_from_json(ring, fields["loop"])
-    fact = cartan.smith_normal_form(loop, precision)
+def _cmd_snf(fields, precision, seed):
+    fact = cartan.smith_normal_form(fields["loop"], precision)
     out = {
         "u": jsonio.loop_to_json(fact.left),
         "lambda": list(fact.cocharacter.entries),
@@ -97,16 +87,14 @@ def _cmd_snf(doc, precision, seed):
     return out, f"cocharacter  {_fmt_tuple(fact.cocharacter.entries)}"
 
 
-def _cmd_splitting(doc, precision, seed):
-    ring = _ring_of(doc)
-    fields = jsonio._take(doc, "input", ("datum",), ("ring",))
-    datum = jsonio.datum_from_json(ring, fields["datum"])
+def _cmd_splitting(fields, precision, seed):
+    datum = fields["datum"]
     st = p1bundles.splitting_type(datum, precision)
 
     def text():
         # only the table shows the strata, so JSON output never reduces a loop
         rows = [["splitting type", _fmt_tuple(st.a), f"degree {st.degree()}"]]
-        labels = [ring.scalar_str(p.r) for p in datum.points]
+        labels = [datum.ring.scalar_str(p.r) for p in datum.points]
         if datum.infinity_loop is not None:
             labels.append("infinity")
         if labels:
@@ -118,21 +106,14 @@ def _cmd_splitting(doc, precision, seed):
     return jsonio.splitting_to_json(st), text
 
 
-def _cmd_h0(doc, precision, seed):
-    ring = _ring_of(doc)
-    fields = jsonio._take(doc, "input", ("datum", "m"), ("ring",))
-    datum = jsonio.datum_from_json(ring, fields["datum"])
+def _cmd_h0(fields, precision, seed):
     m = fields["m"]
-    if not jsonio._is_int(m):
-        raise SchemaError("h0: twist m must be an int")
-    value = p1bundles.h0(datum, m, precision)
+    value = p1bundles.h0(fields["datum"], m, precision)
     return {"h0": value}, f"h0(twist {m})  {value}"
 
 
-def _cmd_glue(doc, precision, seed):
-    ring = _ring_of(doc)
-    fields = jsonio._take(doc, "input", ("datum",), ("ring",))
-    datum = jsonio.datum_from_json(ring, fields["datum"])
+def _cmd_glue(fields, precision, seed):
+    datum = fields["datum"]
     loops = datum.all_loops
     bounds = [lp.pole_bound(precision) for lp in loops]
     det_vals = [lp.det().valuation for lp in loops]
@@ -144,44 +125,27 @@ def _cmd_glue(doc, precision, seed):
         "det_valuations": det_vals,
         "degree": -sum(det_vals),
     }
-    text = _table(
-        [["loops", str(len(loops))], ["pole bounds", str(bounds)], ["degree", str(-sum(det_vals))]]
-    )
+    text = _table([["loops", len(loops)], ["pole bounds", bounds], ["degree", -sum(det_vals)]])
     return out, text
 
 
-def _cmd_modify(doc, precision, seed):
-    ring = _ring_of(doc)
-    fields = jsonio._take(doc, "input", ("datum", "point", "loop"), ("ring",))
-    datum = jsonio.datum_from_json(ring, fields["datum"])
-    point = jsonio.scalar_from_json(ring, fields["point"])
-    loop = jsonio.loop_from_json(ring, fields["loop"])
-    out = p1bundles.modify(datum, point, loop)
+def _cmd_modify(fields, precision, seed):
+    out = p1bundles.modify(fields["datum"], fields["point"], fields["loop"])
     return {"datum": jsonio.datum_to_json(out)}, f"datum now has {len(out.points)} points"
 
 
-def _cmd_factor(doc, precision, seed):
-    ring = _ring_of(doc)
-    fields = jsonio._take(doc, "input", ("loop",), ("ring",))
-    loop = jsonio.loop_from_json(ring, fields["loop"])
+def _cmd_factor(fields, precision, seed):
+    loop = fields["loop"]
     fact = factorization.factor_elementary(loop, precision)
     reconstructs = fact.product().agrees_with(loop)
     out = jsonio.factorization_to_json(fact)
     out["reconstructs"] = reconstructs
-    text = _table(
-        [["factors", str(len(fact))], ["reconstructs", str(reconstructs).lower()]]
-    )
-    return out, text
+    return out, _table([["factors", len(fact)], ["reconstructs", str(reconstructs).lower()]])
 
 
-def _cmd_lift(doc, precision, seed):
-    ring = _ring_of(doc)
-    fields = jsonio._take(doc, "input", ("factorization", "modulus_power"), ("ring",))
-    fact = jsonio.factorization_from_json(ring, fields["factorization"])
-    m = fields["modulus_power"]
-    if not jsonio._is_int(m):
-        raise SchemaError("lift: modulus_power must be an int")
-    target = ArtinianRing(ring, m)
+def _cmd_lift(fields, precision, seed):
+    fact = fields["factorization"]
+    target = ArtinianRing(fact.ring, fields["modulus_power"])
     lifted = factorization.lift_factorization(fact, target)
     out = {
         "ring": jsonio.ring_to_json(target),
@@ -190,14 +154,9 @@ def _cmd_lift(doc, precision, seed):
     return out, f"lifted {len(lifted)} factors over {target.name}"
 
 
-def _cmd_extend(doc, precision, seed):
-    ring = _ring_of(doc)
-    fields = jsonio._take(doc, "input", ("datum", "modulus_power"), ("ring", "perturb"))
-    datum = jsonio.datum_from_json(ring, fields["datum"])
-    m = fields["modulus_power"]
-    if not jsonio._is_int(m):
-        raise SchemaError("extend: modulus_power must be an int")
-    target = ArtinianRing(ring, m)
+def _cmd_extend(fields, precision, seed):
+    datum = fields["datum"]
+    target = ArtinianRing(datum.ring, fields["modulus_power"])
     perturbations = None
     if fields.get("perturb"):
         perturbations = _random_perturbations(datum, target, seed, precision)
@@ -230,32 +189,35 @@ def _random_perturbations(datum, target, seed, precision):
     return out
 
 
-def _cmd_expand(doc, precision, seed):
-    ring = _ring_of(doc)
-    fields = jsonio._take(doc, "input", ("function", "center"), ("ring", "precision"))
-    f = jsonio.function_from_json(ring, fields["function"])
-    center = jsonio.scalar_from_json(ring, fields["center"])
-    local = _working_precision(fields.get("precision", precision), "expand: precision")
-    s = f.expand_at(center, local)
+def _cmd_expand(fields, precision, seed):
+    s = fields["function"].expand_at(fields["center"], fields.get("precision", precision))
     return {"series": jsonio.series_to_json(s)}, f"expansion  {s!r}"
 
 
+# each command: its handler, its required input fields and its optional ones
 _COMMANDS = {
-    "stratum": _cmd_stratum,
-    "coarse-stratum": _cmd_coarse,
-    "snf": _cmd_snf,
-    "splitting-type": _cmd_splitting,
-    "h0": _cmd_h0,
-    "glue": _cmd_glue,
-    "modify": _cmd_modify,
-    "factor": _cmd_factor,
-    "lift": _cmd_lift,
-    "extend": _cmd_extend,
-    "expand": _cmd_expand,
+    "stratum": (_cmd_stratum, ("loop",), ("ring",)),
+    "coarse-stratum": (_cmd_coarse, ("loop",), ("ring",)),
+    "snf": (_cmd_snf, ("loop",), ("ring",)),
+    "splitting-type": (_cmd_splitting, ("datum",), ("ring",)),
+    "h0": (_cmd_h0, ("datum", "m"), ("ring",)),
+    "glue": (_cmd_glue, ("datum",), ("ring",)),
+    "modify": (_cmd_modify, ("datum", "point", "loop"), ("ring",)),
+    "factor": (_cmd_factor, ("loop",), ("ring",)),
+    "lift": (_cmd_lift, ("factorization", "modulus_power"), ("ring",)),
+    "extend": (_cmd_extend, ("datum", "modulus_power"), ("ring", "perturb")),
+    "expand": (_cmd_expand, ("function", "center"), ("ring", "precision")),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _run_one(command: str, doc, precision, seed):
+    if command not in _COMMANDS:
+        raise SchemaError(f"unknown command {command!r}")
+    handler, required, optional = _COMMANDS[command]
+    return handler(jsonio.command_input(doc, required, optional), precision, seed)
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="loopgr",
         description="Exact computations with matrix loops and bundles on the line",
@@ -265,33 +227,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--precision", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
-    return parser
-
-
-def _run_one(command: str, doc, precision, seed):
-    if command not in _COMMANDS:
-        raise SchemaError(f"unknown command {command!r}")
-    return _COMMANDS[command](doc, precision, seed)
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     try:
-        precision = _working_precision(args.precision, "--precision")
+        precision = jsonio.working_precision(args.precision, "--precision")
         if args.command == "batch":
             return _run_batch(args)
-        doc = _load(args.input)
-        out, text = _run_one(args.command, doc, precision, args.seed)
-        if args.format == "json":
-            report = json.dumps(out, sort_keys=True)
-        else:
-            report = text() if callable(text) else text
+        doc = _parse(_read(args.input, "input"), "input")
+        with _exact_digits():
+            out, text = _run_one(args.command, doc, precision, args.seed)
+            if args.format == "json":
+                text = json.dumps(out, sort_keys=True)
+            print(text() if callable(text) else text)
     except Error as exc:
         suggested = exc.suggested_precision
         hint = f" (suggested precision {suggested})" if suggested is not None else ""
         print(f"error[{type(exc).__name__}]: {exc}{hint}", file=sys.stderr)
         return exc.exit_code
-    print(report)
     return 0
 
 
@@ -301,16 +252,13 @@ def _run_batch(args) -> int:
         if not line.strip():
             continue
         try:
-            entry = json.loads(line)
-            fields = jsonio._take(entry, "batch entry", ("command", "input"), ("precision",))
-            precision = _working_precision(
-                fields.get("precision", args.precision), "batch entry: precision"
+            entry = jsonio.command_input(
+                _parse(line, "batch entry"), ("command", "input"), ("precision",), "batch entry"
             )
-            out, _ = _run_one(fields["command"], fields["input"], precision, args.seed)
-            print(json.dumps({"index": index, "ok": True, "output": out}, sort_keys=True))
-        except json.JSONDecodeError as exc:
-            print(json.dumps({"index": index, "ok": False, "error": "SchemaError", "message": str(exc)}))
-            status = status or 2
+            precision = entry.get("precision", args.precision)
+            with _exact_digits():
+                out, _ = _run_one(entry["command"], entry["input"], precision, args.seed)
+                print(json.dumps({"index": index, "ok": True, "output": out}, sort_keys=True))
         except Error as exc:
             row = {"index": index, "ok": False, "error": type(exc).__name__, "message": str(exc)}
             if exc.suggested_precision is not None:

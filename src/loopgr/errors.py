@@ -4,6 +4,7 @@ from __future__ import annotations
 
 DEFAULT_PRECISION = 16  # working precision of a call that names none
 MAX_PRECISION = 4096  # largest working precision accepted or suggested
+MAX_DIGITS = 4300  # most digits of a numerator or denominator in a rational literal
 
 
 class Error(Exception):
@@ -58,6 +59,10 @@ class DomainError(Error):
     """Input outside the mathematical domain of the operation."""
 
     exit_code = 5
+
+
+class UnsupportedRank(DomainError, NotImplementedError):
+    """The operation is implemented for rank 2 only."""
 
 
 class BackendMismatch(DomainError):

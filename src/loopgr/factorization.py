@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InsufficientPrecision
+from .errors import DomainError, InsufficientPrecision, UnsupportedRank
 from .loops import LoopMatrix, elementary_loop
 from .p1bundles import MarkedPoint, ModificationDatum
 from .rings import ArtinianRing, Ring
@@ -85,7 +85,7 @@ def factor_elementary(m: LoopMatrix, precision: int | None = None) -> Factorizat
     parameters exact whenever the pivot divides exactly.
     """
     if m.n != 2:
-        raise NotImplementedError(
+        raise UnsupportedRank(
             "elementary factorization is implemented for 2x2 loops only; "
             "higher rank reduces to 2x2 blocks but is not provided"
         )
@@ -225,7 +225,7 @@ def extend_point(
         raise DomainError("extension target must be an Artinian ring")
     target.base.require_same(datum.ring)
     if datum.n != 2:
-        raise NotImplementedError("extension is implemented for rank 2 only")
+        raise UnsupportedRank("extension is implemented for rank 2 only")
     perturbations = perturbations or {}
     lifted_loops = []
     for i, lp in enumerate(datum.all_loops):

@@ -29,13 +29,9 @@ from .rings import QQ, ArtinianRing, PrimeField, Ring
 from .series import LaurentSeries, RationalFunction
 
 
-def _is_int(obj) -> bool:
-    """A JSON integer: an int that is not a bool (bool subclasses int)."""
-    return isinstance(obj, int) and not isinstance(obj, bool)
-
-
 def _expect(obj, kind, what: str):
-    if not (_is_int(obj) if kind is int else isinstance(obj, kind)):
+    """obj, if it is a JSON value of the given type (so a bool is no int)."""
+    if type(obj) is not kind:
         raise SchemaError(f"{what}: expected {kind.__name__}, got {type(obj).__name__}")
     return obj
 
@@ -119,20 +115,27 @@ def scalar_to_json(ring: Ring, value):
 # -- series and rational functions -------------------------------------------
 
 
+def _terms(ring: Ring, obj, what: str, nonnegative: bool = False) -> list:
+    """[[exponent, coefficient], ...] as a list of (exponent, scalar) pairs."""
+    out, term, exponent = [], f"{what} term", f"{what} exponent"
+    for item in _expect(obj, list, what):
+        pair = _expect(item, list, term)
+        if len(pair) != 2:
+            raise SchemaError(f"{term}: expected [exponent, coefficient]")
+        e = _bounded(pair[0], exponent)
+        if nonnegative and e < 0:
+            raise SchemaError(f"{what} exponent must be non-negative")
+        out.append((e, scalar_from_json(ring, pair[1])))
+    return out
+
+
 def series_from_json(ring: Ring, obj) -> LaurentSeries:
     fields = _take(obj, "series", ("terms",), ("precision",))
-    terms = _expect(fields["terms"], list, "series.terms")
-    parsed = []
-    for item in terms:
-        pair = _expect(item, list, "series term")
-        if len(pair) != 2:
-            raise SchemaError("series term: expected [exponent, coefficient]")
-        e = _bounded(pair[0], "series exponent")
-        parsed.append((e, scalar_from_json(ring, pair[1])))
+    terms = _terms(ring, fields["terms"], "series")
     prec = fields.get("precision")
     if prec is not None:
         prec = _bounded(prec, "series.precision")
-    return LaurentSeries.from_terms(ring, parsed, prec)
+    return LaurentSeries.from_terms(ring, terms, prec)
 
 
 def series_to_json(s: LaurentSeries):
@@ -144,25 +147,10 @@ def series_to_json(s: LaurentSeries):
     return {"terms": terms, "precision": s.known_end}
 
 
-def poly_terms_from_json(obj) -> list:
-    terms = _expect(obj, list, "poly")
-    out = []
-    for item in terms:
-        pair = _expect(item, list, "poly term")
-        if len(pair) != 2:
-            raise SchemaError("poly term: expected [exponent, coefficient]")
-        e = _bounded(pair[0], "poly exponent")
-        if e < 0:
-            raise SchemaError("poly exponent must be non-negative")
-        out.append((e, pair[1]))
-    return out
-
-
 def function_from_json(ring: Ring, obj) -> RationalFunction:
     fields = _take(obj, "function", ("num",), ("den",))
-    num = [(e, scalar_from_json(ring, c)) for e, c in poly_terms_from_json(fields["num"])]
-    den_terms = fields.get("den", [[0, "1"]])
-    den = [(e, scalar_from_json(ring, c)) for e, c in poly_terms_from_json(den_terms)]
+    num = _terms(ring, fields["num"], "poly", nonnegative=True)
+    den = _terms(ring, fields.get("den", [[0, "1"]]), "poly", nonnegative=True)
     return _wrap("function", RationalFunction.from_terms, ring, num, den)
 
 
@@ -230,7 +218,7 @@ def factorization_from_json(ring: Ring, obj) -> Factorization:
     for f in _expect(fields["factors"], list, "factorization.factors"):
         fs = _take(f, "factor", ("pos", "param"))
         pos = _expect(fs["pos"], list, "factor.pos")
-        if len(pos) != 2 or not all(_is_int(x) for x in pos):
+        if len(pos) != 2 or not all(type(x) is int for x in pos):
             raise SchemaError("factor.pos must be [i, j] with 1-based ints")
         param = series_from_json(ring, fs["param"])
         factors.append(_wrap("factor", ElementaryFactor, tuple(pos), param))
@@ -247,6 +235,46 @@ def factorization_to_json(f: Factorization):
             for x in f.factors
         ],
     }
+
+
+# -- command inputs ----------------------------------------------------------
+
+
+def working_precision(obj, what: str = "precision"):
+    """None for the default, else an int in [1, MAX_PRECISION]: the one rule
+    for --precision and every "precision" field of an input."""
+    if obj is not None and not (type(obj) is int and 1 <= obj <= MAX_PRECISION):
+        raise SchemaError(f"{what} must be an int in [1, {MAX_PRECISION}], got {obj!r}")
+    return obj
+
+
+# one decoder per input field, called as decoder(ring, value); each looks its
+# parser up when called, so a parser rebound on this module is the one run
+_FIELDS = {
+    "ring": lambda ring, obj: ring,
+    "loop": lambda ring, obj: loop_from_json(ring, obj),
+    "datum": lambda ring, obj: datum_from_json(ring, obj),
+    "point": lambda ring, obj: scalar_from_json(ring, obj),
+    "center": lambda ring, obj: scalar_from_json(ring, obj),
+    "factorization": lambda ring, obj: factorization_from_json(ring, obj),
+    "function": lambda ring, obj: function_from_json(ring, obj),
+    "m": lambda ring, obj: _expect(obj, int, "m"),
+    "modulus_power": lambda ring, obj: _expect(obj, int, "modulus_power"),
+    "perturb": lambda ring, obj: _expect(obj, bool, "perturb"),
+    "precision": lambda ring, obj: working_precision(obj),
+    "command": lambda ring, obj: _expect(obj, str, "command"),
+    "input": lambda ring, obj: obj,
+}
+
+
+def command_input(doc, required: tuple, optional: tuple = (), what: str = "input") -> dict:
+    """The decoded fields of an input object by name, absent ones left out.
+    The ring is read first, then the field names are checked, then the
+    fields are decoded in the order given."""
+    _expect(doc, dict, what)
+    ring = ring_from_json(doc.get("ring"))
+    _take(doc, what, required, optional)
+    return {name: _FIELDS[name](ring, doc[name]) for name in required + optional if name in doc}
 
 
 # -- result records ----------------------------------------------------------

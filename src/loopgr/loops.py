@@ -249,11 +249,7 @@ class LoopMatrix:
             isinstance(other, LoopMatrix)
             and self.n == other.n
             and self.group == other.group
-            and all(
-                a == b
-                for ra, rb in zip(self.rows, other.rows)
-                for a, b in zip(ra, rb)
-            )
+            and self.rows == other.rows
         )
 
     def __hash__(self):

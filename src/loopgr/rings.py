@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .errors import MAX_PRECISION, BackendMismatch, DomainError, NonUnitLeading
+from .errors import MAX_DIGITS, MAX_PRECISION, BackendMismatch, DomainError, NonUnitLeading
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -202,6 +202,9 @@ class RationalField(Ring):
         s = s.strip()
         if not _RATIONAL_RE.match(s):
             raise DomainError(f"not an exact rational literal: {s!r}")
+        if len(s) > MAX_DIGITS and max(map(len, s.lstrip("+-").split("/"))) > MAX_DIGITS:
+            # the cap holds whatever Python's own int/str digit limit is
+            raise ValueError(f"a rational literal part has more than {MAX_DIGITS} digits")
         return Fraction(s)
 
     def scalar_str(self, a) -> str:

@@ -341,6 +341,14 @@ def test_boolean_is_not_an_int(tmp_path, capsys, command, doc):
     assert code == 2 and "SchemaError" in err
 
 
+@pytest.mark.parametrize("value", ["no", 0, 1, None, [True]], ids=["string", "0", "1", "null", "list"])
+def test_perturb_must_be_a_boolean(tmp_path, capsys, value):
+    datum = {"points": ["0"], "loops": [ROTATION_LOOP], "infinity_loop": None}
+    doc = {"datum": datum, "modulus_power": 2, "perturb": value}
+    code, out, err = run(capsys, ["extend", write(tmp_path, "p.json", doc)])
+    assert code == 2 and out == "" and "SchemaError" in err
+
+
 @pytest.mark.parametrize(
     "command, doc, code, error",
     [
@@ -497,3 +505,105 @@ def test_stdin_input(capsys, monkeypatch):
     doc = json.dumps({"loop": IDENTITY_LOOP})
     code, out, _ = run(capsys, ["stratum", "-"], stdin=doc, monkeypatch=monkeypatch)
     assert code == 0 and json.loads(out) == {"lambda": [0, 0]}
+
+
+def test_batch_entry_faults_are_schema_rows(tmp_path, capsys):
+    # a non-string command, and an integer past Python's digit limit
+    lines = [
+        json.dumps({"command": ["x"], "input": {}}),
+        '{"command": "h0", "input": {"datum": {"points": [], "loops": [], "n": 2}, "m": '
+        + "9" * 4301
+        + "}}",
+        json.dumps({"command": "stratum", "input": {"loop": IDENTITY_LOOP}}),
+    ]
+    p = tmp_path / "batch.jsonl"
+    p.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, ["batch", str(p)])
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["index"] for r in rows] == [0, 1, 2]
+    assert [r.get("error") for r in rows[:2]] == ["SchemaError", "SchemaError"]
+    assert rows[2]["ok"] and rows[2]["output"] == {"lambda": [0, 0]}
+    assert code == 2
+
+
+RANK_ONE_LOOP = {"n": 1, "entries": [[ONE]], "group": "SL"}
+RANK_THREE_IDENTITY = {
+    "n": 3,
+    "entries": [[ONE if i == j else {"terms": []} for j in range(3)] for i in range(3)],
+    "group": "SL",
+}
+RANK_ONE_DATUM = {"points": ["0"], "loops": [RANK_ONE_LOOP], "infinity_loop": None}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        pytest.param("factor", {"loop": RANK_THREE_IDENTITY}, id="factor.rank3"),
+        pytest.param("extend", {"datum": RANK_ONE_DATUM, "modulus_power": 2}, id="extend.rank1"),
+        pytest.param(
+            "extend",
+            {"datum": RANK_ONE_DATUM, "modulus_power": 2, "perturb": True},
+            id="extend.rank1.perturb",
+        ),
+    ],
+)
+def test_rank_other_than_two_is_a_domain_error(tmp_path, capsys, command, doc):
+    code, out, err = run(capsys, [command, write(tmp_path, "r.json", doc)])
+    assert code == 5 and out == "" and err.startswith("error[UnsupportedRank]: ")
+    p = tmp_path / "batch.jsonl"
+    entries = [{"command": command, "input": doc}, {"command": "stratum", "input": {"loop": IDENTITY_LOOP}}]
+    p.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    code, out, _ = run(capsys, ["batch", str(p)])
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 5 and rows[0]["error"] == "UnsupportedRank" and rows[1]["ok"]
+
+
+def _big_int(text: str) -> int:
+    # read a decimal numeral of any length in pieces under the digit limit
+    value = 0
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    for i in range(0, len(digits), 1000):
+        piece = digits[i : i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return sign * value
+
+
+def test_exact_answers_print_past_the_int_digit_limit(tmp_path, capsys):
+    # 1 / (t - 1/97) = -97 * sum (97 t)^k: the coefficient of t^4095 has 8,138 digits
+    doc = {
+        "function": {"num": [[0, "1"]], "den": [[0, "-1/97"], [1, "1"]]},
+        "center": "0",
+        "precision": 4096,
+    }
+    code, out, _ = run(capsys, ["expand", write(tmp_path, "e.json", doc)])
+    assert code == 0
+    terms = json.loads(out)["series"]["terms"]
+    assert [e for e, _ in terms] == list(range(4096))
+    for k in (0, 1, 4095):
+        assert _big_int(terms[k][1]) == -(97 ** (k + 1))
+    assert len(terms[4095][1]) == 1 + 8138
+    # the twist may have as many digits as a JSON integer; h0 has one more
+    datum = {"points": [], "loops": [], "infinity_loop": None, "n": 2}
+    path = tmp_path / "h.json"
+    path.write_text('{"datum": ' + json.dumps(datum) + ', "m": ' + "9" * 4300 + "}")
+    code, out, _ = run(capsys, ["h0", str(path)])
+    assert code == 0 and out == '{"h0": 2' + "0" * 4300 + "}\n"
+
+
+def test_input_literals_stay_capped(tmp_path, capsys):
+    import sys
+
+    path = tmp_path / "m.json"
+    path.write_text('{"datum": ' + json.dumps(DIAG_DATUM) + ', "m": ' + "9" * 4301 + "}")
+    code, out, err = run(capsys, ["h0", str(path)])
+    assert code == 2 and out == "" and err.startswith("error[SchemaError]: input is not valid JSON")
+    # the rational literal cap is loopgr's own, not the interpreter's
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for literal in ("1" * 4301, "1/" + "1" * 4301):
+            loop = {"n": 1, "entries": [[{"terms": [[0, literal]]}]]}
+            code, _, err = run(capsys, ["stratum", write(tmp_path, "l.json", {"loop": loop})])
+            assert code == 2 and "SchemaError" in err and "4300 digits" in err
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -97,3 +97,21 @@ def test_factorization_roundtrip():
     assert back.factors == f.factors
     with pytest.raises(SchemaError):
         jsonio.factorization_from_json(QQ, {"factors": [{"pos": [1, 1, 2], "param": {"terms": []}}]})
+
+
+def test_command_input_reads_the_ring_first_and_decodes_declared_fields():
+    from loopgr import LoopMatrix
+
+    loop = jsonio.loop_to_json(LoopMatrix.identity(PrimeField(5), 2))
+    doc = {"ring": {"type": "fp", "p": 5}, "loop": loop, "m": 3}
+    fields = jsonio.command_input(doc, ("loop", "m"), ("ring", "perturb"))
+    assert fields == {"loop": LoopMatrix.identity(PrimeField(5), 2), "m": 3, "ring": PrimeField(5)}
+    # a bad ring is reported before an unknown field
+    with pytest.raises(DomainError):
+        jsonio.command_input({**doc, "ring": {"type": "fp", "p": 4}, "x": 1}, ("loop", "m"), ("ring",))
+    for bad in ({**doc, "x": 1}, {"loop": loop}, {**doc, "m": True}, [doc]):
+        with pytest.raises(SchemaError):
+            jsonio.command_input(bad, ("loop", "m"), ("ring",))
+    # an object that does not declare "ring" rejects it
+    with pytest.raises(SchemaError):
+        jsonio.command_input({"command": "h0", "input": {}, "ring": "Q"}, ("command", "input"))

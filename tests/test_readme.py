@@ -22,3 +22,19 @@ def test_library_tour_runs_as_documented():
     assert ns["stratum"](ns["a"]).entries == (1, -1)
     assert "# (0, 0)" in block
     assert ns["splitting_type"](ns["d"]).a == (0, 0)
+
+
+TYPES = {"loop", "datum", "scalar", "factorization", "function", "int", "boolean", "ring"}
+
+
+def test_command_line_field_table_matches_the_cli():
+    from loopgr.cli import _COMMANDS
+
+    text = README.read_text()
+    section = text[text.index("## Command line") : text.index("## Acceptance suite")]
+    documented = {}
+    for name, *cells in re.findall(r"^\| `([a-z0-9-]+)` \|(.*)\|(.*)\|$", section, re.M):
+        fields = [re.findall(r"`(\w+)`: (\w+)", cell) for cell in cells]
+        assert {kind for cell in fields for _, kind in cell} <= TYPES, name
+        documented[name] = tuple(tuple(f for f, _ in cell) for cell in fields)
+    assert documented == {name: (req, opt) for name, (_, req, opt) in _COMMANDS.items()}
