@@ -162,7 +162,9 @@ def _cmd_extend(fields, precision, seed):
         perturbations = _random_perturbations(datum, target, seed, precision)
     out_datum = factorization.extend_point(datum, target, perturbations, precision)
     reduced = factorization.reduce_datum(out_datum)
-    ok = all(a.agrees_with(b) for a, b in zip(reduced.loops, datum.loops))
+    ok = reduced.points == datum.points and all(
+        a.agrees_with(b) for a, b in zip(reduced.all_loops, datum.all_loops)
+    )
     out = {
         "ring": jsonio.ring_to_json(target),
         "datum": jsonio.datum_to_json(out_datum),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InsufficientPrecision, UnsupportedRank
 from .loops import LoopMatrix, elementary_loop
-from .p1bundles import MarkedPoint, ModificationDatum
+from .p1bundles import ModificationDatum
 from .rings import ArtinianRing, Ring
 from .series import LaurentSeries
 
@@ -69,6 +69,15 @@ class Factorization:
             for r in rows:
                 r[j] = r[j].add(r[i].mul(f.parameter))
         return LoopMatrix(rows, self.gamma.group if self.gamma else "SL")
+
+    def map_coefficients(self, fn, ring: Ring) -> "Factorization":
+        """fn applied to every coefficient of every parameter and of gamma, in `ring`."""
+        factors = tuple(
+            ElementaryFactor(f.position, f.parameter.map_coefficients(fn, ring))
+            for f in self.factors
+        )
+        gamma = self.gamma.map_coefficients(fn, ring) if self.gamma is not None else None
+        return Factorization(ring, factors, gamma)
 
     def __len__(self):
         return len(self.factors)
@@ -142,6 +151,13 @@ def _factor(m: LoopMatrix, precision) -> list[ElementaryFactor]:
     )
 
 
+def _artinian(ring: Ring) -> ArtinianRing:
+    """The one base check of every lift, extension and reduction."""
+    if not isinstance(ring, ArtinianRing):
+        raise DomainError(f"need an Artinian base k[x]/(x^m), got {ring}")
+    return ring
+
+
 def lift_factorization(
     fact: Factorization,
     target: ArtinianRing,
@@ -149,66 +165,29 @@ def lift_factorization(
 ) -> Factorization:
     """Constant lift of every parameter to the Artinian base, optionally
     perturbed inside the maximal ideal; reduction recovers the input."""
-    if not isinstance(target, ArtinianRing):
-        raise DomainError("lift target must be an Artinian ring")
-    target.base.require_same(fact.ring)
-    perturbations = perturbations or {}
+    _artinian(target).base.require_same(fact.ring)
+    lifted = fact.map_coefficients(target.from_base, target)
+    if not perturbations:
+        return lifted
+    factors = list(lifted.factors)
     for idx, p in perturbations.items():
-        if not 0 <= idx < len(fact.factors):
+        if not 0 <= idx < len(factors):
             raise DomainError(f"perturbation index {idx} out of range")
         p.ring.require_same(target)
         if any(not target.in_maximal_ideal(c) for c in p.coeffs):
             raise DomainError("perturbations must lie in the maximal ideal")
-    lifted = []
-    for i, f in enumerate(fact.factors):
-        param = f.parameter.map_coefficients(target.from_base, target)
-        if i in perturbations:
-            param = param.add(perturbations[i])
-        lifted.append(ElementaryFactor(f.position, param))
-    gamma = (
-        fact.gamma.map_entries(target.from_base, target)
-        if fact.gamma is not None
-        else None
-    )
-    return Factorization(target, tuple(lifted), gamma)
+        factors[idx] = ElementaryFactor(factors[idx].position, factors[idx].parameter.add(p))
+    return Factorization(target, tuple(factors), lifted.gamma)
 
 
-def reduce_factorization(fact: Factorization) -> Factorization:
-    """Reduction modulo the maximal ideal of the Artinian base."""
-    ring = fact.ring
-    if not isinstance(ring, ArtinianRing):
-        raise DomainError("reduction needs an Artinian base")
-    base = ring.base
-    factors = tuple(
-        ElementaryFactor(f.position, f.parameter.map_coefficients(ring.residue, base))
-        for f in fact.factors
-    )
-    gamma = fact.gamma.map_entries(ring.residue, base) if fact.gamma is not None else None
-    return Factorization(base, factors, gamma)
+def _reduce(value):
+    """Reduction modulo the maximal ideal: a series, loop, factorization or
+    datum over k[x]/(x^m) maps coefficientwise to the residue field k."""
+    ring = _artinian(value.ring)
+    return value.map_coefficients(ring.residue, ring.base)
 
 
-def reduce_loop(m: LoopMatrix) -> LoopMatrix:
-    """Entrywise reduction of a loop over an Artinian base to the residue
-    field."""
-    ring = m.ring
-    if not isinstance(ring, ArtinianRing):
-        raise DomainError("reduction needs an Artinian base")
-    return m.map_entries(ring.residue, ring.base)
-
-
-def reduce_datum(datum: ModificationDatum) -> ModificationDatum:
-    """Pointwise reduction of a modification datum over an Artinian base."""
-    ring = datum.ring
-    if not isinstance(ring, ArtinianRing):
-        raise DomainError("reduction needs an Artinian base")
-    base = ring.base
-    return ModificationDatum(
-        base,
-        datum.n,
-        tuple(MarkedPoint(ring.residue(p.r)) for p in datum.points),
-        tuple(reduce_loop(lp) for lp in datum.loops),
-        reduce_loop(datum.infinity_loop) if datum.infinity_loop is not None else None,
-    )
+reduce_loop = reduce_factorization = reduce_datum = _reduce
 
 
 def extend_point(
@@ -221,12 +200,13 @@ def extend_point(
     base: factor each loop into elementary matrices, lift the factorizations,
     and reassemble.  The output reduces to the input pointwise and its loops
     lie in the subgroup generated by the transvections."""
-    if not isinstance(target, ArtinianRing):
-        raise DomainError("extension target must be an Artinian ring")
-    target.base.require_same(datum.ring)
+    _artinian(target).base.require_same(datum.ring)
     if datum.n != 2:
         raise UnsupportedRank("extension is implemented for rank 2 only")
     perturbations = perturbations or {}
+    for i in perturbations:
+        if not 0 <= i < len(datum.all_loops):
+            raise DomainError(f"perturbation loop index {i} out of range")
     lifted_loops = []
     for i, lp in enumerate(datum.all_loops):
         fact = factor_elementary(lp, precision)
@@ -239,10 +219,5 @@ def extend_point(
             )
         lifted_loops.append(lifted)
     inf_loop = lifted_loops.pop() if datum.infinity_loop is not None else None
-    return ModificationDatum(
-        target,
-        2,
-        tuple(MarkedPoint(target.from_base(p.r)) for p in datum.points),
-        tuple(lifted_loops),
-        inf_loop,
-    )
+    points = tuple(target.from_base(p.r) for p in datum.points)
+    return ModificationDatum(target, 2, points, tuple(lifted_loops), inf_loop)

@@ -25,7 +25,7 @@ from .errors import MAX_PRECISION, Error, SchemaError
 from .factorization import ElementaryFactor, Factorization
 from .loops import LoopMatrix
 from .p1bundles import ModificationDatum, SplittingType
-from .rings import QQ, ArtinianRing, PrimeField, Ring
+from .rings import QQ, RATIONAL_LITERAL, ArtinianRing, PrimeField, Ring
 from .series import LaurentSeries, RationalFunction
 
 
@@ -102,7 +102,8 @@ def scalar_from_json(ring: Ring, obj):
         return _wrap(
             "scalar", lambda: ring.of([scalar_from_json(ring.base, c) for c in obj])
         )
-    _expect(obj, str, "scalar")
+    if not RATIONAL_LITERAL.match(_expect(obj, str, "scalar").strip()):
+        raise SchemaError(f"scalar: not an exact rational literal: {obj!r}")
     return _wrap("scalar", ring.parse, obj)
 
 
@@ -187,12 +188,12 @@ def datum_from_json(ring: Ring, obj) -> ModificationDatum:
     loops = [loop_from_json(ring, l) for l in _expect(fields["loops"], list, "datum.loops")]
     inf = fields.get("infinity_loop")
     inf_loop = loop_from_json(ring, inf) if inf is not None else None
-    if loops or inf_loop is not None:
-        n = (loops[0] if loops else inf_loop).n
-    elif fields.get("n") is None:
-        raise SchemaError("datum: empty data need an explicit rank field n")
-    else:
+    if fields.get("n") is not None:
         n = _expect(fields["n"], int, "datum.n")
+    elif loops or inf_loop is not None:
+        n = (loops[0] if loops else inf_loop).n
+    else:
+        raise SchemaError("datum: empty data need an explicit rank field n")
     return _wrap(
         "datum", ModificationDatum, ring, n, tuple(points), tuple(loops), inf_loop
     )

@@ -233,7 +233,8 @@ class LoopMatrix:
         full = tuple(range(self.n))
         return self.ring.is_unit(_minor(consts, full, full, {}).coefficient(0))
 
-    def map_entries(self, fn, ring: Ring) -> "LoopMatrix":
+    def map_coefficients(self, fn, ring: Ring) -> "LoopMatrix":
+        """fn applied to every known coefficient of every entry, in `ring`."""
         return LoopMatrix(
             [[e.map_coefficients(fn, ring) for e in r] for r in self.rows],
             self.group,

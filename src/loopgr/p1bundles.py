@@ -123,6 +123,17 @@ class ModificationDatum:
     def with_infinity(self, loop: LoopMatrix) -> "ModificationDatum":
         return ModificationDatum(self.ring, self.n, self.points, self.loops, loop)
 
+    def map_coefficients(self, fn, ring: Ring) -> "ModificationDatum":
+        """fn applied to every point and every loop coefficient, in `ring`."""
+        inf = self.infinity_loop
+        return ModificationDatum(
+            ring,
+            self.n,
+            tuple(fn(p.r) for p in self.points),
+            tuple(lp.map_coefficients(fn, ring) for lp in self.loops),
+            inf.map_coefficients(fn, ring) if inf is not None else None,
+        )
+
 
 def modify(datum: ModificationDatum, point, g: LoopMatrix) -> ModificationDatum:
     """Add the modification g at the given point: append a new marked point,

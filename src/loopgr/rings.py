@@ -13,7 +13,8 @@ from math import lcm
 
 from .errors import MAX_DIGITS, MAX_PRECISION, BackendMismatch, DomainError, NonUnitLeading
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# an exact rational literal "p" or "p/q": sign, numerator digits, denominator digits
+RATIONAL_LITERAL = re.compile(r"^([+-]?)(\d+)(?:/([1-9]\d*))?$")
 
 
 def _is_prime(n: int) -> bool:
@@ -200,12 +201,14 @@ class RationalField(Ring):
 
     def parse(self, s: str) -> Fraction:
         s = s.strip()
-        if not _RATIONAL_RE.match(s):
+        match = RATIONAL_LITERAL.match(s)
+        if not match:
             raise DomainError(f"not an exact rational literal: {s!r}")
-        if len(s) > MAX_DIGITS and max(map(len, s.lstrip("+-").split("/"))) > MAX_DIGITS:
+        sign, num, den = match.groups("1")  # an absent denominator reads as 1
+        if max(len(num), len(den)) > MAX_DIGITS:
             # the cap holds whatever Python's own int/str digit limit is
             raise ValueError(f"a rational literal part has more than {MAX_DIGITS} digits")
-        return Fraction(s)
+        return Fraction(int(sign + num), int(den))
 
     def scalar_str(self, a) -> str:
         return str(a)

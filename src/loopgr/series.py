@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     InsufficientPrecision,
     NonUnitLeading,
-    UndetectableValuation,
     ZeroToPrecision,
 )
 from .rings import Ring
@@ -491,8 +490,6 @@ class RationalFunction:
         r = ring.of(r)
         nu = LaurentSeries.make(ring, 0, poly_shift_var(ring, self.num, r), None)
         de = LaurentSeries.make(ring, 0, poly_shift_var(ring, self.den, r), None)
-        if de.is_exact_zero:
-            raise UndetectableValuation("denominator vanishes identically")
         return nu.div(de, precision)
 
     def pole_order_at(self, r) -> int:

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from loopgr import factorization
 from loopgr.cli import main
 
 from conftest import det_cancelling_sl2_loop
@@ -607,3 +609,85 @@ def test_input_literals_stay_capped(tmp_path, capsys):
             assert code == 2 and "SchemaError" in err and "4300 digits" in err
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# ---------------------------------------------------------------------------
+# scalar literals, the datum rank and the extension check
+
+
+RINGS = {
+    "QQ": "Q",
+    "GF7": {"type": "fp", "p": 7},
+    "QQ[x]/(x^2)": {"type": "artinian", "base": "Q", "m": 2},
+}
+
+
+def _one_entry_loop(coefficient):
+    return {"n": 1, "entries": [[{"terms": [[0, coefficient]]}]]}
+
+
+@pytest.mark.parametrize("ring", list(RINGS), ids=list(RINGS))
+@pytest.mark.parametrize("literal", ["1.5", "1/0", "1/07", "x", "", "2/-3", "1e3"])
+def test_malformed_literal_is_a_schema_violation(tmp_path, capsys, ring, literal):
+    coefficient = [literal] if ring == "QQ[x]/(x^2)" else literal
+    doc = {"ring": RINGS[ring], "loop": _one_entry_loop(coefficient)}
+    code, out, err = run(capsys, ["stratum", write(tmp_path, "l.json", doc)])
+    assert code == 2 and out == "" and err.startswith("error[SchemaError]: scalar: ")
+
+
+def test_literal_faults_in_batch(tmp_path, capsys):
+    fp = {"type": "fp", "p": 7}
+    entries = [
+        {"ring": fp, "loop": _one_entry_loop("1.5")},
+        {"ring": fp, "loop": _one_entry_loop("1/14")},  # well formed, 14 = 0 mod 7
+        {"ring": fp, "loop": _one_entry_loop(" 3/2 ")},
+    ]
+    p = tmp_path / "batch.jsonl"
+    p.write_text("".join(json.dumps({"command": "stratum", "input": e}) + "\n" for e in entries))
+    code, out, _ = run(capsys, ["batch", str(p)])
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r.get("error") for r in rows] == ["SchemaError", "NonUnitLeading", None]
+    assert rows[2]["output"] == {"lambda": [0]}
+    assert code == 2
+    code, _, err = run(capsys, ["stratum", write(tmp_path, "z.json", entries[1])])
+    assert code == 5 and "NonUnitLeading" in err
+
+
+@pytest.mark.parametrize(
+    "n, code, error",
+    [(2, 0, ""), (3, 5, "DomainError"), (True, 2, "SchemaError"), ("2", 2, "SchemaError")],
+    ids=["int", "mismatch", "bool", "string"],
+)
+def test_datum_rank_is_checked_when_loops_are_present(tmp_path, capsys, n, code, error):
+    datum = {**DIAG_DATUM, "n": n}
+    got, out, err = run(capsys, ["splitting-type", write(tmp_path, "d.json", {"datum": datum})])
+    assert got == code and error in err
+    if code == 0:
+        assert json.loads(out) == {"a": [1, -1]}
+
+
+INFINITY_DATUM = {"points": ["0"], "loops": [ROTATION_LOOP], "infinity_loop": ROTATION_LOOP}
+
+
+def test_extend_keeps_and_checks_the_infinity_loop(tmp_path, capsys):
+    path = write(tmp_path, "e.json", {"datum": INFINITY_DATUM, "modulus_power": 3})
+    code, out, _ = run(capsys, ["extend", path])
+    doc = json.loads(out)
+    assert code == 0 and doc["reduces_to_input"] is True
+    assert doc["datum"]["infinity_loop"]["entries"][0][1]["terms"] == [[0, ["1", "0", "0"]]]
+
+
+@pytest.mark.parametrize("fault", ["infinity loop", "point"])
+def test_reduces_to_input_reads_the_infinity_loop_and_the_points(tmp_path, capsys, monkeypatch, fault):
+    real = factorization.extend_point
+
+    def faulty(datum, target, *args):
+        out = real(datum, target, *args)
+        if fault == "point":
+            return dataclasses.replace(out, points=(target.one,))
+        return dataclasses.replace(out, infinity_loop=out.infinity_loop.inverse())
+
+    monkeypatch.setattr(factorization, "extend_point", faulty)
+    path = write(tmp_path, "e.json", {"datum": INFINITY_DATUM, "modulus_power": 2})
+    code, out, _ = run(capsys, ["extend", path])
+    assert code == 0 and json.loads(out)["reduces_to_input"] is False

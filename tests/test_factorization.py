@@ -11,6 +11,7 @@ from loopgr import (
     LaurentSeries,
     LoopMatrix,
     ModificationDatum,
+    PrimeField,
     elementary_loop,
     extend_point,
     factor_elementary,
@@ -24,7 +25,7 @@ from loopgr import (
 )
 from loopgr.errors import DomainError, InsufficientPrecision
 
-from conftest import det_cancelling_sl2_loop, rand_exact_series
+from conftest import det_cancelling_sl2_loop, rand_exact_series, rand_truncated_series
 
 
 def E12(terms, ring=QQ):
@@ -284,3 +285,57 @@ def test_extend_precision_failure_is_retryable():
     assert suggested > DEFAULT_PRECISION
     out = extend_point(d, A, precision=suggested)
     assert reduce_datum(out).loops[0].agrees_with(loop)
+
+
+def test_extend_rejects_a_perturbation_of_a_missing_loop():
+    A = ArtinianRing(QQ, 2)
+    d = ModificationDatum.at_points(QQ, ["0"], [E12([(-1, 1)])])
+    pert = {0: LaurentSeries.from_terms(A, [(0, A.gen())])}
+    for idx in (1, 7, -1):
+        with pytest.raises(DomainError, match="out of range"):
+            extend_point(d, A, {idx: pert})
+    # the infinity loop is the last loop, so index 1 names it
+    d = d.with_infinity(E21([(1, 1)]))
+    assert reduce_datum(extend_point(d, A, {1: pert})).infinity_loop == d.infinity_loop
+
+
+# ---------------------------------------------------------------------------
+# change of base: one map_coefficients per value type, one reduction body
+
+
+@pytest.mark.parametrize("base", [QQ, PrimeField(10007)], ids=lambda r: r.name)
+def test_constant_lift_then_reduce_is_the_identity_property(base):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 2**32), st.integers(2, 4))
+    def check(seed, m):
+        rng = random.Random(seed)
+        A = ArtinianRing(base, m)
+        u = [base.random_unit(rng) for _ in range(2)]
+        c = [base.random(rng) for _ in range(3)]
+        gamma = LoopMatrix.from_rows(
+            base, [[[(0, u[0]), (1, c[0])], [(2, c[1])]], [[(1, c[2])], [(0, u[1])]]], "GL"
+        )
+        fact = factor_elementary(random_sl2(rng, base))
+        values = [
+            (rand_truncated_series(base, rng), reduce_loop),
+            (random_sl2(rng, base), reduce_loop),
+            (fact, reduce_factorization),
+            (Factorization(base, fact.factors, gamma), reduce_factorization),
+            (
+                ModificationDatum.at_points(
+                    base, ["0", "1"], [random_sl2(rng, base), gamma], random_sl2(rng, base)
+                ),
+                reduce_datum,
+            ),
+        ]
+        for value, reduce in values:
+            lifted = value.map_coefficients(A.from_base, A)
+            assert lifted.ring == A
+            assert reduce(lifted) == value
+            with pytest.raises(DomainError):
+                reduce(value)  # the base is a field, not k[x]/(x^m)
+
+    check()

@@ -20,6 +20,26 @@ def test_rational_parse_and_str():
         QQ.parse("1/0")
 
 
+def test_rational_parse_matches_fraction_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    signs = st.sampled_from(["", "+", "-"])
+    zeros = st.integers(0, 3).map(lambda k: "0" * k)
+    big = 10**40
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(signs, zeros, st.integers(0, big), st.none() | st.integers(1, big), st.integers(1, 12))
+    def check(sign, pad, num, den, common):
+        # a common factor makes the fraction reducible
+        s = sign + pad + str(num * common)
+        if den is not None:
+            s += "/" + str(den * common)
+        assert QQ.parse(s) == Fraction(s)
+        assert QQ.parse(f" {s}\n") == Fraction(s)
+
+    check()
+
+
 def test_prime_field_arithmetic():
     F = PrimeField(7)
     assert F.of(10) == 3
