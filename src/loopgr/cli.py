@@ -174,11 +174,12 @@ def _cmd_extend(fields, precision, seed):
 
 
 def _random_perturbations(datum, target, seed, precision):
-    """Seeded random maximal-ideal perturbations, one per lifted factor."""
+    """Seeded random maximal-ideal perturbations, one draw per lifted factor
+    of every loop, the one at infinity included."""
     rng = random.Random(f"extend:{seed}")
     x = target.gen()
     out = {}
-    for i, lp in enumerate(datum.loops):
+    for i, lp in enumerate(datum.all_loops):
         fact = factorization.factor_elementary(lp, precision)
         per = {}
         for j in range(len(fact.factors)):

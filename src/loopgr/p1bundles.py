@@ -225,18 +225,17 @@ def _section_counts(datum: ModificationDatum, low: int, high: int, precision) ->
             for j, (q, nq) in enumerate(zip(datum.points, bounds))
             if j != i
         ]
-        basis = [_reciprocal(ring, others, 2 * nb + 2).shifted(-nb)]
+        local = _reciprocal(ring, others, 2 * nb + 2).shifted(-nb)
         lin = LaurentSeries.from_terms(ring, [(0, p.r), (1, ring.one)])
-        for _ in range(top + bound):
-            basis.append(basis[-1].mul(lin))
         alpha_inv = datum.loops[i].inverse(max(work, 2 * nb + 2))
-        rows.extend(_condition_rows(ring, alpha_inv, basis, range(-2 * nb, 0), precision))
+        exps = range(-2 * nb, 0)
+        rows += _condition_rows(ring, alpha_inv, local, lin, top + bound + 1, exps, precision)
     if datum.infinity_loop is not None:
         # in s = 1/t, t^k / prod_j (t - r_j)^{N_j} is
-        # s^{total - k} / prod_j (1 - r_j s)^{N_j}
+        # s^total / prod_j (1 - r_j s)^{N_j} times s^(-k)
         factors = [((ring.one, ring.neg(q.r)), nq) for q, nq in zip(datum.points, bounds)]
-        inv_denom = _reciprocal(ring, factors, 2 * binf + 4)
-        inf_basis = [inv_denom.shifted(total - k) for k in range(top + bound + 1)]
+        inf_local = _reciprocal(ring, factors, 2 * binf + 4).shifted(total)
+        s_inv = LaurentSeries.t_power(ring, -1)
         window = 2 * binf + max(abs(bottom), abs(top)) + 2
         inf_inv = datum.infinity_loop.inverse(max(work, window))
     counts, pivots = {}, {}  # pivots: leading column -> rest of its echelon row
@@ -246,7 +245,7 @@ def _section_counts(datum: ModificationDatum, low: int, high: int, precision) ->
         if datum.infinity_loop is not None:
             # on this prefix the rows at s^e, e < -m - 2*binf, vanish
             exps, start = range(start, -m), -m
-            rows += _condition_rows(ring, inf_inv, inf_basis[: size // n], exps, precision)
+            rows += _condition_rows(ring, inf_inv, inf_local, s_inv, size // n, exps, precision)
         led = sum(1 for col in pivots if col < size)
         for row in rows:
             if led == size:
@@ -287,42 +286,40 @@ def _reciprocal(ring, factors, window):
     return LaurentSeries.make(ring, 0, prod, None).invert(window)
 
 
-def _condition_rows(ring, alpha_inv, basis, exps, precision):
+def _condition_rows(ring, alpha_inv, base, step, width, exps, precision):
     """One row per (c, e): the coefficient of t^e in component c of
     alpha_inv * v, as a linear form in the unknowns; column k * n + d
-    multiplies basis[k] in component d of v.  Only exactly zero entries are
-    skipped, so an entry that is zero on its window still has that window
-    checked by `_product_coefficient`."""
+    multiplies base * step^k in component d of v.  Every entry is read from
+    one `LaurentSeries.mul` product inside the window `mul` certifies: an
+    entry of alpha_inv times base, then times step once per k.  Only exactly
+    zero entries of alpha_inv are skipped."""
+    if not exps:
+        return []
     n = alpha_inv.n
+    rows = []
+    # no coefficient of g past `cut` reaches an exponent in exps by k steps,
+    # and cut > exps[-1], so cutting there changes no row and no window check
+    cut = exps[-1] + 1 + max(0, -step.valuation) * (width - 1)
     for c in range(n):
-        entries = [alpha_inv.entry(c, d) for d in range(n)]
-        for e in exps:
-            row = [ring.zero] * (n * len(basis))
-            for d, entry in enumerate(entries):
-                if entry.is_exact_zero:
-                    continue
-                for k, b in enumerate(basis):
-                    row[k * n + d] = _product_coefficient(ring, entry, b, e, precision)
-            yield row
-
-
-def _product_coefficient(ring, a: LaurentSeries, b: LaurentSeries, e: int, precision):
-    """Coefficient of t^e in a*b, reading only the needed diagonal after
-    checking that e lies in the provable window of the product."""
-    end = a.product_end(b)
-    if end is not None and e >= end:
-        raise InsufficientPrecision(
-            f"coefficient at exponent {e} of a product is outside the provable window",
-            precision,
-        )
-    if not a.coeffs or not b.coeffs:
-        return ring.zero
-    acc = ring.zero
-    lo = max(a.shift, e - (b.shift + len(b.coeffs) - 1))
-    hi = min(a.shift + len(a.coeffs) - 1, e - b.shift)
-    for i in range(lo, hi + 1):
-        acc = ring.add(acc, ring.mul(a.coeffs[i - a.shift], b.coeffs[e - i - b.shift]))
-    return acc
+        block = [[ring.zero] * (n * width) for _ in exps]
+        for d in range(n):
+            g = alpha_inv.entry(c, d)
+            if g.is_exact_zero:
+                continue
+            g = g.mul(base).truncated(cut)
+            for k in range(width):
+                if k:
+                    g = g.mul(step)
+                if g.known_end is not None and exps[-1] >= g.known_end:
+                    raise InsufficientPrecision(
+                        f"coefficient at exponent {max(exps[0], g.known_end)} "
+                        "of a product is outside the provable window",
+                        precision,
+                    )
+                for row, e in zip(block, exps):
+                    row[k * n + d] = g.coefficient(e)
+        rows += block
+    return rows
 
 
 def splitting_type(datum: ModificationDatum, precision: int | None = None) -> SplittingType:

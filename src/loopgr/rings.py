@@ -41,6 +41,22 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def signed_sum(terms, var: str) -> str:
+    """A sum of (coefficient string, exponent of `var`) terms: a coefficient 1
+    before a power of `var` is left out, and a leading minus becomes a
+    subtraction."""
+    out = ""
+    for cs, e in terms:
+        sign, cs = ("-", cs[1:]) if cs.startswith("-") else ("+", cs)
+        mono = "" if e == 0 else var if e == 1 else f"{var}^{e}"
+        term = cs if not mono else mono if cs == "1" else f"{cs}*{mono}"
+        if out:
+            out += f" {sign} {term}"
+        else:
+            out = term if sign == "+" else f"-{term}"
+    return out or "0"
+
+
 def _integer_numerators(a) -> tuple:
     """(d, [x * d for x in a]) with d the lcm of the denominators of a, so
     every entry of the list is an int."""
@@ -262,7 +278,7 @@ class PrimeField(Ring):
         return a != 0
 
     def inv(self, a):
-        if a % self.p == 0:
+        if a == 0:
             raise NonUnitLeading(f"division by zero in {self.name}")
         return pow(a, self.p - 2, self.p)
 
@@ -270,7 +286,7 @@ class PrimeField(Ring):
         return self.of(QQ.parse(s))
 
     def scalar_str(self, a) -> str:
-        return str(a % self.p)
+        return str(a)
 
     def random(self, rng) -> int:
         return rng.randrange(self.p)
@@ -349,17 +365,9 @@ class ArtinianRing(Ring):
         return tuple(self.base.inv_vec(a, self.m))
 
     def scalar_str(self, a) -> str:
-        parts = []
-        for i, c in enumerate(a):
-            if self.base.is_zero(c):
-                continue
-            cs = self.base.scalar_str(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                xp = "x" if i == 1 else f"x^{i}"
-                parts.append(xp if cs == "1" else f"{cs}*{xp}")
-        return " + ".join(parts) if parts else "0"
+        base = self.base
+        terms = [(base.scalar_str(c), i) for i, c in enumerate(a) if not base.is_zero(c)]
+        return signed_sum(terms, "x")
 
     def random(self, rng) -> tuple:
         return tuple(self.base.random(rng) for _ in range(self.m))

@@ -24,7 +24,7 @@ from .errors import (
     NonUnitLeading,
     ZeroToPrecision,
 )
-from .rings import Ring
+from .rings import Ring, signed_sum
 
 
 def _min_end(*ends):
@@ -369,30 +369,18 @@ class LaurentSeries:
         return hash((self.ring, self.shift, self.coeffs, self.known_end))
 
     def __repr__(self):
-        ring = self.ring
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if ring.is_zero(c):
-                continue
-            e = self.shift + i
-            cs = ring.scalar_str(c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            if e == 0:
-                term = cs
-            else:
-                tp = "t" if e == 1 else f"t^{e}"
-                term = tp if cs == "1" else f"{cs}*{tp}"
-            if not parts:
-                parts.append(("-" if neg else "") + term)
-            else:
-                parts.append(("- " if neg else "+ ") + term)
-        body = " ".join(parts)
-        if self.known_end is not None:
-            tail = f"O(t^{self.known_end})"
-            body = f"{body} + {tail}" if body else tail
-        return body or "0"
+        """Terms in increasing degree; a coefficient that prints as more than
+        one term (over k[x]/(x^m)) is bracketed, its signs left inside."""
+        terms = []
+        for e, c in enumerate(self.coeffs, self.shift):
+            if not self.ring.is_zero(c):
+                cs = self.ring.scalar_str(c)
+                terms.append((f"({cs})" if " " in cs else cs, e))
+        body = signed_sum(terms, "t")
+        if self.known_end is None:
+            return body
+        tail = f"O(t^{self.known_end})"
+        return f"{body} + {tail}" if terms else tail
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,19 @@ def test_extend_with_seeded_perturbation(tmp_path, capsys):
     assert json.loads(out3)["reduces_to_input"] is True
 
 
+def test_extend_perturbs_the_loop_at_infinity(tmp_path, capsys):
+    datum = {"points": ["0"], "loops": [ROTATION_LOOP], "infinity_loop": ROTATION_LOOP}
+    path = write(tmp_path, "ext.json", {"datum": datum, "modulus_power": 2, "perturb": True})
+    x_terms = 0
+    for seed in range(6):
+        code, out, _ = run(capsys, ["extend", path, "--seed", str(seed)])
+        doc = json.loads(out)
+        assert code == 0 and doc["reduces_to_input"] is True
+        entries = doc["datum"]["infinity_loop"]["entries"]
+        x_terms += any(c[1] != "0" for row in entries for e in row for _, c in e["terms"])
+    assert x_terms > 0
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -12,7 +12,11 @@ pass.  The oracle below is the per-twist count it replaced: every twist
 rebuilds its rows and ranks them alone, and `splitting_type` reads h0 at
 each m = -B-1..B.  Values, error classes and suggested precisions must
 agree; a message may differ only in the exponent it names, since the pass
-builds the rows of the top twist first.
+builds the rows of the top twist first.  The row builder it first used is
+kept too: it multiplies each loop entry by a list of basis series, one
+diagonal sum per row entry, where `_condition_rows` forms one
+`LaurentSeries.mul` product per entry and steps it; their rows must agree
+scalar for scalar, and their errors as the per-twist ones do.
 
 `factor_elementary` applies the premultiplication by E21(1) as one row
 operation and goes straight to the three-factor identity.  The oracle below is
@@ -176,6 +180,42 @@ def _rank(ring, rows) -> int:
     return rank
 
 
+def basis_condition_rows(ring, alpha_inv, basis, exps, precision):
+    """The row builder `_condition_rows` replaced: column k * n + d holds the
+    coefficient of t^e in alpha_inv[c][d] * basis[k], summed along one
+    diagonal by `product_coefficient` after its own window check."""
+    n = alpha_inv.n
+    for c in range(n):
+        entries = [alpha_inv.entry(c, d) for d in range(n)]
+        for e in exps:
+            row = [ring.zero] * (n * len(basis))
+            for d, entry in enumerate(entries):
+                if entry.is_exact_zero:
+                    continue
+                for k, b in enumerate(basis):
+                    row[k * n + d] = product_coefficient(ring, entry, b, e, precision)
+            yield row
+
+
+def product_coefficient(ring, a, b, e, precision):
+    """Coefficient of t^e in a*b, reading only the needed diagonal after
+    checking that e lies in the provable window of the product."""
+    end = a.product_end(b)
+    if end is not None and e >= end:
+        raise InsufficientPrecision(
+            f"coefficient at exponent {e} of a product is outside the provable window",
+            precision,
+        )
+    if not a.coeffs or not b.coeffs:
+        return ring.zero
+    acc = ring.zero
+    lo = max(a.shift, e - (b.shift + len(b.coeffs) - 1))
+    hi = min(a.shift + len(a.coeffs) - 1, e - b.shift)
+    for i in range(lo, hi + 1):
+        acc = ring.add(acc, ring.mul(a.coeffs[i - a.shift], b.coeffs[e - i - b.shift]))
+    return acc
+
+
 def per_twist_h0(datum, m, precision=None):
     ring = datum.ring
     if not ring.is_field:
@@ -203,7 +243,7 @@ def per_twist_h0(datum, m, precision=None):
         for _ in range(deg):
             basis.append(basis[-1].mul(lin))
         alpha_inv = datum.loops[i].inverse(max(work, 2 * nb + 2))
-        rows.extend(_condition_rows(ring, alpha_inv, basis, range(-2 * nb, 0), precision))
+        rows.extend(basis_condition_rows(ring, alpha_inv, basis, range(-2 * nb, 0), precision))
 
     if datum.infinity_loop is not None:
         # in s = 1/t, t^k / prod_j (t - r_j)^{N_j} is
@@ -216,7 +256,7 @@ def per_twist_h0(datum, m, precision=None):
         basis = [inv_denom.shifted(total - k) for k in range(deg + 1)]
         alpha_inv = datum.infinity_loop.inverse(max(work, 2 * binf + abs(m) + 2))
         rows.extend(
-            _condition_rows(ring, alpha_inv, basis, range(-m - 2 * binf, -m), precision)
+            basis_condition_rows(ring, alpha_inv, basis, range(-m - 2 * binf, -m), precision)
         )
 
     # the library orders the columns by degree; a rank ignores the order
@@ -536,3 +576,47 @@ def test_section_counts_match_per_twist_oracle():
             far += m > bound and got[0] == "ok"
     assert {"ok", "InsufficientPrecision"} <= {o[0] for o in seen}
     assert far >= 200
+
+
+def _place(ring, rng):
+    """(basis, base, step, exps) as `_section_counts` builds them at a marked
+    point among one to three, or at infinity at a random twist m: the old
+    builder's basis is base * step^k for k below the width."""
+    pts = [ring.of(x) for x in rng.sample(range(-3, 4), rng.randint(1, 3))]
+    bounds = [rng.randint(1, 3) for _ in pts]
+    total = sum(bounds)
+    if rng.random() < 0.5:
+        i = rng.randrange(len(pts))
+        others = [((ring.sub(pts[i], q), ring.one), nq) for q, nq in zip(pts, bounds) if q != pts[i]]
+        base = _reciprocal(ring, others, 2 * bounds[i] + 2).shifted(-bounds[i])
+        step = LaurentSeries.from_terms(ring, [(0, pts[i]), (1, ring.one)])
+        basis = [base]
+        for _ in range(rng.randint(0, 2 * total)):
+            basis.append(basis[-1].mul(step))
+        return basis, base, step, range(-2 * bounds[i], 0)
+    binf = rng.randint(0, 2)
+    m = rng.randint(-total - binf, total + binf)
+    factors = [((ring.one, ring.neg(q)), nq) for q, nq in zip(pts, bounds)]
+    inv_denom = _reciprocal(ring, factors, 2 * binf + 4)
+    basis = [inv_denom.shifted(total - k) for k in range(m + total + binf + 1)]
+    exps = range(-m - rng.randint(0, 2 * binf + 1), -m)
+    return basis, inv_denom.shifted(total), LaurentSeries.t_power(ring, -1), exps
+
+
+def test_condition_rows_match_basis_oracle():
+    rng = random.Random("rows-oracle")
+    seen = collections.Counter()
+    for _ in range(300):
+        ring = rng.choice([QQ, PrimeField(10007)])
+        n = rng.randint(1, 3)
+        alpha_inv = LoopMatrix(_truncate(_loop_rows(ring, rng, n, rng.randint(0, 2)), rng))
+        basis, base, step, exps = _place(ring, rng)
+        p = rng.choice((None, 24))
+        got = _counted(lambda: _condition_rows(ring, alpha_inv, base, step, len(basis), exps, p))
+        want = _counted(lambda: list(basis_condition_rows(ring, alpha_inv, basis, exps, p)))
+        assert got == want
+        if got[0] == "ok":
+            assert all(type(x) is type(ring.zero) for row in got[1] for x in row)
+        seen[got[0], "infinity" if step.shift < 0 else "point"] += 1
+    # answers and precision errors, at marked points and at infinity
+    assert all(seen[o, w] for o in ("ok", "InsufficientPrecision") for w in ("point", "infinity"))

@@ -31,7 +31,6 @@ from loopgr import (
 )
 from loopgr import p1bundles
 from loopgr.errors import DomainError, InsufficientPrecision, MarkedPointError
-from loopgr.p1bundles import _product_coefficient
 
 from conftest import rand_exact_series
 
@@ -510,12 +509,15 @@ def test_all_loops_lists_the_points_then_infinity():
 
 
 def test_product_coefficient_suggestion_exceeds_precision_in_use():
-    a = LaurentSeries.from_terms(QQ, [(0, 1)], 4)
-    b = LaurentSeries.one(QQ)
-    assert QQ.eq(_product_coefficient(QQ, a, b, 0, 1024), QQ.one)
-    with pytest.raises(InsufficientPrecision) as exc:
-        _product_coefficient(QQ, a, b, 4, 1024)
-    assert exc.value.suggested_precision > 1024
+    # [[t^2, O(t^0)], [0, t^-2]] at 0: the row at t^-2 reads a product past
+    # its window, whatever the working precision
+    t = LaurentSeries.t_power
+    loop = LoopMatrix([[t(QQ, 2), LaurentSeries.zero(QQ, 0)], [LaurentSeries.zero(QQ), t(QQ, -2)]])
+    d = one_point(loop)
+    for precision, suggested in ((None, 32), (1024, 2048), (4096, None)):
+        with pytest.raises(InsufficientPrecision, match="exponent -2 of a product") as exc:
+            h0(d, -1, precision)
+        assert exc.value.suggested_precision == suggested
 
 
 def test_section_counting_refuses_a_non_field_before_the_pole_bound():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopgr import QQ, LaurentSeries, PrimeField, RationalFunction, expand_shift
+from loopgr import QQ, ArtinianRing, LaurentSeries, PrimeField, RationalFunction, expand_shift
 from loopgr.errors import (
     BackendMismatch,
     DomainError,
@@ -23,6 +23,17 @@ def S(terms, prec=None):
 
 # ---------------------------------------------------------------------------
 # pinned examples
+
+
+def test_repr_brackets_artinian_coefficients():
+    A = ArtinianRing(QQ, 2)
+    assert A.scalar_str((1, -2)) == "1 - 2*x"
+    assert A.scalar_str((0, -1)) == "-x"
+    assert A.scalar_str((0, 1)) == "x"
+    s = LaurentSeries.from_terms(A, [(0, (-1, 2)), (1, (1, 1)), (2, (0, -1))])
+    assert repr(s) == "(-1 + 2*x) + (1 + x)*t - x*t^2"
+    assert repr(s.truncated(2)) == "(-1 + 2*x) + (1 + x)*t + O(t^2)"
+    assert repr(S([(-1, "-1/2"), (0, 1), (1, -1)], 3)) == "-1/2*t^-1 + 1 - t + O(t^3)"
 
 
 def test_add_cancellation():
