@@ -57,18 +57,28 @@ class Factorization:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
+        if self.gamma is not None and self.gamma.n != 2:
+            raise DomainError(f"gamma must be 2x2, got {self.gamma.n}x{self.gamma.n}")
         if self.gamma is not None and not self.gamma.is_positive():
             raise DomainError("gamma must be a positive loop")
 
     def product(self) -> LoopMatrix:
-        # each factor I + x*e_ij is the column operation column j += x * column i
+        # each factor I + x*e_ij is the column operation column j += x * column i;
+        # det(I + x*e_ij) = 1 for every x, even one known only on a window, so
+        # the determinant is det gamma (exactly 1 without gamma) and is recorded
         one, zero = LaurentSeries.one(self.ring), LaurentSeries.zero(self.ring)
-        rows = [list(r) for r in self.gamma.rows] if self.gamma else [[one, zero], [zero, one]]
+        if self.gamma is None:
+            rows, det, group = [[one, zero], [zero, one]], one, "SL"
+        else:
+            rows = [list(r) for r in self.gamma.rows]
+            det, group = self.gamma.det(), self.gamma.group
         for f in self.factors:
             i, j = f.position[0] - 1, f.position[1] - 1
             for r in rows:
                 r[j] = r[j].add(r[i].mul(f.parameter))
-        return LoopMatrix(rows, self.gamma.group if self.gamma else "SL")
+        out = LoopMatrix(rows)
+        out._det, out.group = det, group
+        return out
 
     def map_coefficients(self, fn, ring: Ring) -> "Factorization":
         """fn applied to every coefficient of every parameter and of gamma, in `ring`."""
@@ -199,7 +209,8 @@ def extend_point(
     """Extend a modification datum over the residue field to the Artinian
     base: factor each loop into elementary matrices, lift the factorizations,
     and reassemble.  The output reduces to the input pointwise and its loops
-    lie in the subgroup generated by the transvections."""
+    lie in the subgroup generated by the transvections, so each carries
+    determinant exactly 1."""
     _artinian(target).base.require_same(datum.ring)
     if datum.n != 2:
         raise UnsupportedRank("extension is implemented for rank 2 only")
@@ -210,14 +221,7 @@ def extend_point(
     lifted_loops = []
     for i, lp in enumerate(datum.all_loops):
         fact = factor_elementary(lp, precision)
-        lifted = lift_factorization(fact, target, perturbations.get(i)).product()
-        det = lifted.det()
-        if det.is_zero_to_precision and not det.is_exact:
-            # truncated factor parameters cancel the whole determinant window
-            raise InsufficientPrecision(
-                "a lifted loop's determinant vanishes on its known window", precision
-            )
-        lifted_loops.append(lifted)
+        lifted_loops.append(lift_factorization(fact, target, perturbations.get(i)).product())
     inf_loop = lifted_loops.pop() if datum.infinity_loop is not None else None
     points = tuple(target.from_base(p.r) for p in datum.points)
     return ModificationDatum(target, 2, points, tuple(lifted_loops), inf_loop)

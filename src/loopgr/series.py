@@ -341,20 +341,9 @@ class LaurentSeries:
     # -- comparisons -------------------------------------------------------
 
     def agrees_with(self, other: "LaurentSeries") -> bool:
-        """Equality of all coefficients on the overlap of the known windows."""
-        self.ring.require_same(other.ring)
-        end = _min_end(self.known_end, other.known_end)
-        tops = [s.shift + len(s.coeffs) for s in (self, other) if s.coeffs]
-        if not tops:
-            return True
-        hi = max(tops)
-        if end is not None:
-            hi = min(hi, end)
-        lo = min(s.shift for s in (self, other) if s.coeffs)
-        for e in range(lo, hi):
-            if self.coefficient(e) != other.coefficient(e):
-                return False
-        return True
+        """Equality of all coefficients on the overlap of the known windows:
+        the difference, clipped to the smaller window, has no nonzero term."""
+        return not self.sub(other).coeffs
 
     def __eq__(self, other):
         return (

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from loopgr import QQ, LaurentSeries, LoopMatrix, PrimeField
-from loopgr.series import poly_mul, poly_trim
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +100,8 @@ def det_cancelling_sl2_loop():
     """E12(-t^-2 - 2t^2) E21(2t^-2 + 4t^-1) E12(-4t^-2 + 1) E21(4t^-2)
     E12(3t^-2 - 2/3 t^2) over QQ.  Lifted to QQ[x]/(x^2) from its factors at
     the default precision, the truncated parameters cancel the whole known
-    window of the determinant; at precision 32 they do not."""
+    window of the minor expansion of the determinant, which is exactly 1;
+    at precision 32 they do not."""
     from loopgr import elementary_loop
 
     loop = None

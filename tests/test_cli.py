@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -254,18 +255,41 @@ def test_h0_zero_to_precision_entry_is_not_read_as_zero(tmp_path, capsys):
     assert code == 3 and out == "" and "InsufficientPrecision" in err
 
 
-def test_extend_precision_failure_suggests_retry(tmp_path, capsys):
+def test_extend_det_cancelling_loop_answers_without_retry(tmp_path, capsys):
+    # the lift's determinant is exactly 1 by construction, so the default
+    # precision answers and a higher one only lengthens windows
     from loopgr import jsonio
 
     loop = jsonio.loop_to_json(det_cancelling_sl2_loop())
     datum = {"points": ["1"], "loops": [loop], "infinity_loop": None}
     path = write(tmp_path, "ext.json", {"datum": datum, "modulus_power": 2})
-    code, _, err = run(capsys, ["extend", path])
-    assert code == 3 and "InsufficientPrecision" in err
-    suggested = int(err.rsplit("(suggested precision ", 1)[1].rstrip(")\n"))
-    assert suggested > 16
-    code, out, _ = run(capsys, ["extend", path, "--precision", str(suggested)])
-    assert code == 0 and json.loads(out)["reduces_to_input"] is True
+    ends = []
+    for args in ([], ["--precision", "32"]):
+        code, out, _ = run(capsys, ["extend", path, *args])
+        doc = json.loads(out)
+        assert code == 0 and doc["reduces_to_input"] is True
+        (lifted,) = doc["datum"]["loops"]
+        assert lifted["group"] == "SL"
+        entries = [e for r in lifted["entries"] for e in r]
+        ends.append([math.inf if e["precision"] is None else e["precision"] for e in entries])
+    assert all(wide >= short for short, wide in zip(*ends))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_lift_rejects_a_gamma_that_is_not_two_by_two(tmp_path, capsys, n):
+    gamma = {
+        "n": n,
+        "entries": [[{"terms": [[0, "1"]] if i == j else []} for j in range(n)] for i in range(n)],
+        "group": "GL",
+    }
+    fact = {"gamma": gamma, "factors": [{"pos": [1, 2], "param": {"terms": [[-1, "1"]]}}]}
+    doc = {"factorization": fact, "modulus_power": 2}
+    code, out, err = run(capsys, ["lift", write(tmp_path, "g.json", doc)])
+    assert code == 5 and out == "" and "DomainError" in err and "2x2" in err
+    p = tmp_path / "batch.jsonl"
+    p.write_text(json.dumps({"command": "lift", "input": doc}) + "\n")
+    code, out, _ = run(capsys, ["batch", str(p)])
+    assert code == 5 and json.loads(out)["error"] == "DomainError"
 
 
 def test_precision_suggestion_exceeds_precision_in_use(tmp_path, capsys):

@@ -1,9 +1,9 @@
+import math
 import random
 
 import pytest
 
 from loopgr import (
-    DEFAULT_PRECISION,
     QQ,
     ArtinianRing,
     ElementaryFactor,
@@ -23,7 +23,8 @@ from loopgr import (
     reduce_loop,
     stratum,
 )
-from loopgr.errors import DomainError, InsufficientPrecision
+from loopgr import loops
+from loopgr.errors import DomainError
 
 from conftest import det_cancelling_sl2_loop, rand_exact_series, rand_truncated_series
 
@@ -115,8 +116,8 @@ def test_factor_count_bound_and_reconstruction_random():
 
 def test_product_is_one_loop_with_one_determinant(monkeypatch):
     # the factors are applied as column operations: no factor matrix, no
-    # partial product and no mat_mul; the one loop built computes one
-    # determinant, its SL check, and none when gamma is GL
+    # partial product and no mat_mul; the one loop built records det gamma
+    # (exactly 1 without gamma) and expands no determinant of its own
     rng = random.Random("fact-det-once")
     gammas = [
         None,
@@ -153,9 +154,70 @@ def test_product_is_one_loop_with_one_determinant(monkeypatch):
     for f, expected in cases:
         computed.clear()
         built.clear()
-        assert f.product() == expected  # rows and group
+        # gamma's own expansion, once, if no earlier product cached it
+        uncached = [f.gamma] if f.gamma is not None and f.gamma._det is None else []
+        product = f.product()
+        assert product == expected  # rows and group
+        assert product.det() == (f.gamma.det() if f.gamma else LaurentSeries.one(QQ))
         assert len(built) == 1
-        assert len(computed) == (expected.group == "SL")
+        assert [id(m) for m in computed] == [id(m) for m in uncached]
+
+
+def _random_factorization(ring, rng):
+    def param():
+        if rng.random() < 0.5:
+            return rand_exact_series(ring, rng)
+        return rand_truncated_series(ring, rng)
+
+    factors = tuple(
+        ElementaryFactor(rng.choice([(1, 2), (2, 1)]), param()) for _ in range(rng.randint(1, 5))
+    )
+    kind = rng.choice(["none", "SL", "GL"])
+    if kind == "none":
+        return Factorization(ring, factors)
+    if kind == "SL":
+        x = LaurentSeries.from_terms(ring, [(e, ring.random(rng)) for e in (0, 1, 2)])
+        i = rng.randrange(2)
+        return Factorization(ring, factors, elementary_loop(ring, 2, i, 1 - i, x))
+    u = [ring.random_unit(rng) for _ in range(2)]
+    c = [ring.random(rng) for _ in range(3)]
+    gamma = LoopMatrix.from_rows(
+        ring, [[[(0, u[0]), (1, c[0])], [(2, c[1])]], [[(1, c[2])], [(0, u[1])]]], "GL"
+    )
+    if rng.random() < 0.5:
+        gamma = LoopMatrix([[e.truncated(rng.randint(1, 3)) for e in r] for r in gamma.rows])
+    return Factorization(ring, factors, gamma)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [QQ, PrimeField(10007), ArtinianRing(QQ, 2), ArtinianRing(QQ, 3), ArtinianRing(QQ, 4)],
+    ids=lambda r: r.name,
+)
+def test_recorded_product_determinant_matches_expansion(monkeypatch, ring):
+    # det(I + x*e_ij) = 1 for every x, even one known only on a window, so
+    # the product records det gamma (exactly 1 without gamma); the minor
+    # expansion of its rows stays the oracle on the expansion's window
+    rng = random.Random(f"fact-det-oracle:{ring.name}")
+    one, full = LaurentSeries.one(ring), (0, 1)
+    minor, calls = loops._minor, []
+    monkeypatch.setattr(loops, "_minor", lambda *args: calls.append(args) or minor(*args))
+    for _ in range(80):
+        f = _random_factorization(ring, rng)
+        gamma_det = f.gamma.det() if f.gamma is not None else one
+        calls.clear()
+        product = f.product()
+        assert product.det() == gamma_det
+        assert not calls  # gamma's determinant was expanded above, once
+        assert product.group == (f.gamma.group if f.gamma is not None else "SL")
+        assert product.det().agrees_with(minor(product.rows, full, full, {}))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_gamma_must_be_two_by_two(n):
+    factors = (ElementaryFactor((1, 2), LaurentSeries.t_power(QQ, -1)),)
+    with pytest.raises(DomainError, match="2x2"):
+        Factorization(QQ, factors, LoopMatrix.identity(QQ, n))
 
 
 def test_factors_are_unipotent():
@@ -275,16 +337,25 @@ def test_extend_requires_rank_two():
         extend_point(d, A)
 
 
-def test_extend_precision_failure_is_retryable():
+def _window_end(e):
+    return math.inf if e.known_end is None else e.known_end
+
+
+def test_extend_det_cancelling_loop_needs_no_retry():
+    # the lifted entries are known to t^8, t^6, exactly and t^8, and their
+    # minor expansion is O(t^0); the lift is a product of transvections, so
+    # its determinant is exactly 1 and no retry is asked for
     loop = det_cancelling_sl2_loop()
     d = ModificationDatum.at_points(QQ, ["1"], [loop])
     A = ArtinianRing(QQ, 2)
-    with pytest.raises(InsufficientPrecision) as err:
-        extend_point(d, A)
-    suggested = err.value.suggested_precision
-    assert suggested > DEFAULT_PRECISION
-    out = extend_point(d, A, precision=suggested)
-    assert reduce_datum(out).loops[0].agrees_with(loop)
+    lifted = extend_point(d, A)
+    assert reduce_datum(lifted).loops[0].agrees_with(loop)
+    (lp,) = lifted.loops
+    assert lp.group == "SL" and lp.det() == LaurentSeries.one(A)
+    assert loops._minor(lp.rows, (0, 1), (0, 1), {}) == LaurentSeries.zero(A, 0)
+    wider = extend_point(d, A, precision=32).loops[0]
+    for r, w in zip(lp.rows, wider.rows):
+        assert all(_window_end(b) >= _window_end(a) for a, b in zip(r, w))
 
 
 def test_extend_rejects_a_perturbation_of_a_missing_loop():

@@ -165,6 +165,38 @@ def test_ring_laws_on_random_series(any_ring):
         assert a.mul(b).mul(c).agrees_with(a.mul(b.mul(c)))
 
 
+def overlap_agrees(a, b):
+    """The coefficient loop `agrees_with` replaced, kept as its oracle:
+    equality of every coefficient on the overlap of the known windows."""
+    ends = [s.known_end for s in (a, b) if s.known_end is not None]
+    tops = [s.shift + len(s.coeffs) for s in (a, b) if s.coeffs]
+    if not tops:
+        return True
+    hi = min([max(tops)] + ends)
+    lo = min(s.shift for s in (a, b) if s.coeffs)
+    return all(a.coefficient(e) == b.coefficient(e) for e in range(lo, hi))
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [QQ, PrimeField(7), ArtinianRing(QQ, 2), ArtinianRing(PrimeField(3), 3)],
+    ids=lambda r: r.name,
+)
+def test_agrees_with_matches_coefficient_loop(ring):
+    rng = random.Random(f"series-agrees:{ring.name}")
+    seen = set()
+    for _ in range(2000):
+        a = rand_exact_series(ring, rng, -3, 4)
+        b = a
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            b = b.add(LaurentSeries.from_terms(ring, [(rng.randint(-4, 5), ring.random(rng))]))
+        a, b = (s if rng.random() < 0.3 else s.truncated(rng.randint(-4, 5)) for s in (a, b))
+        expected = overlap_agrees(a, b)
+        assert a.agrees_with(b) is expected and b.agrees_with(a) is expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_mul_against_model(any_ring):
     ring = any_ring
     rng = random.Random(f"series-model:{ring.name}")
