@@ -21,7 +21,7 @@ from .errors import DomainError, InsufficientPrecision, UnsupportedRank
 from .loops import LoopMatrix, elementary_loop
 from .p1bundles import ModificationDatum
 from .rings import ArtinianRing, Ring
-from .series import LaurentSeries
+from .series import DEFAULT_PRECISION, LaurentSeries
 
 _POSITIONS = ((1, 2), (2, 1))
 
@@ -101,8 +101,12 @@ def factor_elementary(m: LoopMatrix, precision: int | None = None) -> Factorizat
     """Factor a determinant-one 2x2 loop into elementary matrices.
 
     At most 4 factors; exactly-zero parameters are dropped.  Division keeps
-    parameters exact whenever the pivot divides exactly.
+    parameters exact whenever the pivot divides exactly.  The result is kept
+    on the loop, one per precision, as its inverse is.
     """
+    key = precision if precision is not None else DEFAULT_PRECISION
+    if key in m._factorization:
+        return m._factorization[key]
     if m.n != 2:
         raise UnsupportedRank(
             "elementary factorization is implemented for 2x2 loops only; "
@@ -118,6 +122,7 @@ def factor_elementary(m: LoopMatrix, precision: int | None = None) -> Factorizat
     out = Factorization(ring, tuple(f for f in factors if not f.parameter.is_exact_zero))
     if len(out) > 4:
         raise InsufficientPrecision("factorization exceeded the factor bound", precision)
+    m._factorization[key] = out
     return out
 
 
@@ -194,7 +199,7 @@ def _reduce(value):
     """Reduction modulo the maximal ideal: a series, loop, factorization or
     datum over k[x]/(x^m) maps coefficientwise to the residue field k."""
     ring = _artinian(value.ring)
-    return value.map_coefficients(ring.residue, ring.base)
+    return value.map_coefficients(ring.residue, ring.residue_field)
 
 
 reduce_loop = reduce_factorization = reduce_datum = _reduce

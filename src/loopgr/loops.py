@@ -18,7 +18,7 @@ from .errors import (
     NonUnitLeading,
     SingularToPrecision,
 )
-from .rings import QQ, Ring
+from .rings import QQ, Ring, echelon_insert
 from .series import DEFAULT_PRECISION, LaurentSeries
 
 
@@ -48,11 +48,14 @@ def _minor(rows, ri, ci, memo) -> LaurentSeries:
 class LoopMatrix:
     """An element of GL(n) over Laurent series, optionally flagged SL.
 
-    Values are immutable after construction; the inverse and the pole bound
-    are cached write-once, so observable behavior is that of a pure value.
+    Values are immutable after construction; the inverse, the pole bound and
+    the elementary factorization (``factorization.factor_elementary``) are
+    cached write-once, so observable behavior is that of a pure value.
     """
 
-    __slots__ = ("ring", "n", "rows", "group", "_det", "_inverse", "_pole_bound", "built_from")
+    __slots__ = (
+        "ring", "n", "rows", "group", "_det", "_inverse", "_factorization", "_pole_bound", "built_from"
+    )
 
     def __init__(self, rows, group: str = "GL"):
         rows = tuple(tuple(r) for r in rows)
@@ -73,6 +76,7 @@ class LoopMatrix:
         self.group = group
         self._det = None
         self._inverse = {}
+        self._factorization = {}
         self._pole_bound = None
         self.built_from = None
         if group == "SL":
@@ -223,15 +227,19 @@ class LoopMatrix:
 
     def is_positive(self) -> bool:
         """Membership in the positive loop group: pole-free entries and an
-        invertible constant-term matrix."""
+        invertible constant-term matrix, that is, a residue matrix of full
+        rank over the residue field."""
         best, end = _least_valuation([e for r in self.rows for e in r])
         if best is not None and best[0] < 0:
             return False
         if end is not None and end < 1:
             raise InsufficientPrecision("entry window too short to decide positivity")
-        consts = [[e.truncated(1) for e in r] for r in self.rows]
-        full = tuple(range(self.n))
-        return self.ring.is_unit(_minor(consts, full, full, {}).coefficient(0))
+        ring, pivots = self.ring, {}
+        field = ring.residue_field
+        return all(
+            echelon_insert(field, pivots, [ring.residue(e.coefficient(0)) for e in r])
+            for r in self.rows
+        )
 
     def map_coefficients(self, fn, ring: Ring) -> "LoopMatrix":
         """fn applied to every known coefficient of every entry, in `ring`."""

@@ -28,7 +28,7 @@ from .errors import (
     UnboundedPole,
 )
 from .loops import LoopMatrix
-from .rings import Ring
+from .rings import Ring, echelon_insert
 from .series import DEFAULT_PRECISION, LaurentSeries, RationalFunction, poly_mul, poly_strip_root
 
 
@@ -250,29 +250,9 @@ def _section_counts(datum: ModificationDatum, low: int, high: int, precision) ->
         for row in rows:
             if led == size:
                 break
-            led += _insert(ring, pivots, row)
+            led += echelon_insert(ring, pivots, row)
         rows, counts[m] = [], size - led
     return [counts.get(min(m, bound), 0) + n * max(0, m - bound) for m in range(low, high + 1)]
-
-
-def _insert(ring, pivots, row) -> int:
-    """Reduce `row` by the echelon rows in `pivots`; keep a nonzero rest as
-    a new one and return 1, else 0.  An echelon row is kept scaled to a
-    leading one, as its nonzero entries right of the leading column: those
-    are the only entries a reduction reads."""
-    for col in range(len(row)):
-        x = row[col]
-        if ring.is_zero(x):
-            continue
-        if col not in pivots:
-            inv, rest = ring.inv(x), enumerate(row[col + 1 :], col + 1)
-            pivots[col] = [(j, ring.mul(inv, y)) for j, y in rest if not ring.is_zero(y)]
-            return 1
-        for j, y in pivots[col]:
-            if j >= len(row):
-                break
-            row[j] = ring.sub(row[j], ring.mul(x, y))
-    return 0
 
 
 def _reciprocal(ring, factors, window):

@@ -64,10 +64,36 @@ def _integer_numerators(a) -> tuple:
     return d, [x.numerator * (d // x.denominator) for x in a]
 
 
+def echelon_insert(field, pivots, row) -> int:
+    """The scalar elimination kernel: reduce `row` (a list over `field`,
+    changed in place) by the echelon rows in `pivots`; keep a nonzero rest as
+    a new one and return 1, else 0.  An echelon row is kept scaled to a
+    leading one, as its nonzero entries right of the leading column: those
+    are the only entries a reduction reads."""
+    for col in range(len(row)):
+        x = row[col]
+        if field.is_zero(x):
+            continue
+        if col not in pivots:
+            inv, rest = field.inv(x), enumerate(row[col + 1 :], col + 1)
+            pivots[col] = [(j, field.mul(inv, y)) for j, y in rest if not field.is_zero(y)]
+            return 1
+        for j, y in pivots[col]:
+            if j >= len(row):
+                break
+            row[j] = field.sub(row[j], field.mul(x, y))
+    return 0
+
+
 class Ring:
     """Common helpers shared by the three scalar backends.  Values are
     canonical (reduced Fractions, ints in [0, p), length-m tuples of those),
-    so equality is ``==``; backends are equal exactly when their keys are."""
+    so equality is ``==`` and zero is falsy; backends are equal exactly when
+    their keys are.
+
+    Every backend is local: an element is a unit exactly when its residue,
+    its image in the residue field, is nonzero.  On a field the residue is
+    the identity."""
 
     is_field = False
     name = "?"
@@ -78,8 +104,20 @@ class Ring:
     def eq(self, a, b) -> bool:
         return a == b
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
+    @staticmethod
+    def is_zero(a) -> bool:
+        return not a
+
+    @property
+    def residue_field(self) -> "Ring":
+        return self
+
+    @staticmethod
+    def residue(a):
+        return a
+
+    def is_unit(self, a) -> bool:
+        return not self.residue_field.is_zero(self.residue(a))
 
     def mul_vec(self, a, b, limit=None) -> list:
         """The first `limit` coefficients (all when None) of the product of
@@ -159,12 +197,8 @@ class RationalField(Ring):
     def mul(a, b):
         return a * b
 
-    @staticmethod
-    def is_unit(a) -> bool:
-        return a != 0
-
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise NonUnitLeading("division by zero in QQ")
         return 1 / a
 
@@ -273,12 +307,8 @@ class PrimeField(Ring):
     def mul(self, a, b):
         return a * b % self.p
 
-    @staticmethod
-    def is_unit(a) -> bool:
-        return a != 0
-
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise NonUnitLeading(f"division by zero in {self.name}")
         return pow(a, self.p - 2, self.p)
 
@@ -332,12 +362,21 @@ class ArtinianRing(Ring):
         """Constant lift k -> k[x]/(x^m)."""
         return (a,) + (self.base.zero,) * (self.m - 1)
 
-    def residue(self, a: tuple):
+    @property
+    def residue_field(self) -> Ring:
+        return self.base
+
+    @staticmethod
+    def residue(a: tuple):
         """Reduction modulo the maximal ideal (x)."""
         return a[0]
 
+    @staticmethod
+    def is_zero(a) -> bool:
+        return not any(a)
+
     def in_maximal_ideal(self, a: tuple) -> bool:
-        return self.base.is_zero(a[0])
+        return not self.is_unit(a)
 
     def gen(self) -> tuple:
         if self.m < 2:
@@ -354,9 +393,6 @@ class ArtinianRing(Ring):
 
     def mul(self, a, b):
         return tuple(self.base.mul_vec(a, b, self.m))
-
-    def is_unit(self, a) -> bool:
-        return self.base.is_unit(a[0])
 
     def inv(self, a):
         # Power-series reciprocal truncated at x^m; needs a unit residue.

@@ -1,6 +1,7 @@
 """Cartan factorization against hand reductions and the minors oracle."""
 
 import random
+import time
 
 import pytest
 
@@ -22,7 +23,8 @@ from loopgr import (
     stratum,
     transpose_inverse,
 )
-from loopgr.errors import DomainError
+from loopgr import loops
+from loopgr.errors import DomainError, PrecisionError, SingularToPrecision
 
 from conftest import minors_stratum_oracle
 
@@ -169,3 +171,30 @@ def test_prime_field_stratum():
         monomial_loop(F, (1, 0)),
     )
     assert stratum(m).entries == minors_stratum_oracle(m)
+
+
+def test_stratum_takes_polynomial_time_at_rank_16_and_12():
+    # positivity is decided on the residue matrix, not by a 2^n expansion
+    for loop in (LoopMatrix.identity(QQ, 16), random_loop(12, 2, 0, PrimeField(10007))):
+        start = time.perf_counter()
+        stratum(loop)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_stratum_expands_no_determinant(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("stratum expanded a determinant")
+
+    monkeypatch.setattr(loops, "_minor", forbidden)
+    answered = 0
+    for n in range(2, 6):
+        for seed in range(4):
+            loop = random_loop(n, 2, seed)
+            if seed % 2:  # the same loop with every entry truncated
+                loop = LoopMatrix([[e.truncated(e.shift + 6) for e in r] for r in loop.rows])
+            try:
+                stratum(loop)
+                answered += 1
+            except (PrecisionError, SingularToPrecision):
+                pass
+    assert answered >= 8

@@ -714,6 +714,22 @@ def test_extend_keeps_and_checks_the_infinity_loop(tmp_path, capsys):
     assert doc["datum"]["infinity_loop"]["entries"][0][1]["terms"] == [[0, ["1", "0", "0"]]]
 
 
+def test_extend_perturb_factors_each_loop_once(tmp_path, capsys, monkeypatch):
+    # the perturbation draw and the extension share one factorization per loop
+    real, calls = factorization._factor, []
+
+    def counting(m, precision):
+        calls.append(m)
+        return real(m, precision)
+
+    monkeypatch.setattr(factorization, "_factor", counting)
+    path = write(tmp_path, "e.json", {"datum": INFINITY_DATUM, "modulus_power": 2, "perturb": True})
+    for seed in range(6):
+        code, out, _ = run(capsys, ["extend", path, "--seed", str(seed)])
+        assert code == 0 and json.loads(out)["reduces_to_input"] is True
+    assert len(calls) == 12
+
+
 @pytest.mark.parametrize("fault", ["infinity loop", "point"])
 def test_reduces_to_input_reads_the_infinity_loop_and_the_points(tmp_path, capsys, monkeypatch, fault):
     real = factorization.extend_point

@@ -332,7 +332,9 @@ def test_det_matches_minors_oracle(ring):
             assert LoopMatrix(rows).det() == _exact_det(rows)
 
 
-@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize(
+    "ring", ORACLE_RINGS + [ArtinianRing(PrimeField(10007), 2)], ids=lambda r: r.name
+)
 def test_is_positive_matches_constant_term_oracle(ring):
     rng = random.Random(f"positive-oracle:{ring.name}")
     seen = set()

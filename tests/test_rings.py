@@ -225,6 +225,8 @@ def test_equality_is_value_equality_property(ring):
     def check(a, b, u, s, t):
         c = ring.sub(ring.add(a, b), b)
         assert c == a and hash(c) == hash(a)
+        assert ring.is_zero(a) == (a == ring.zero)
+        assert ring.is_unit(a) == (not ring.residue_field.is_zero(ring.residue(a)))
         assert ring.mul(ring.mul(a, u), ring.inv(u)) == a
         r = s.add(t).sub(t)
         assert r == s and hash(r) == hash(s)
