@@ -9,8 +9,9 @@ multiplicity pattern names the associated parabolic type.
 
 The reduction pivots on an entry of minimal valuation, ties broken by the
 smallest row then column index, and divides out unit parts exactly when the
-entries permit; before reporting, the factorization is verified against the
-input on the certified window.
+entries permit.  Step s writes u's column s and v's row s once, from the pivot
+cross of step s; nothing is mirrored on u or v.  Before reporting, the
+factorization is verified against the input on the certified window.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InsufficientPrecision
 from .loops import LoopMatrix, _min_valuation_pivot
+from .series import LaurentSeries
 
 
 @dataclass(frozen=True)
@@ -125,46 +127,41 @@ def smith_normal_form(a: LoopMatrix, precision: int | None = None) -> CartanFact
         )
     n = a.n
     m = [list(r) for r in a.rows]
-    # invariant: a = U m V throughout; row/col ops on m are mirrored on U, V
-    u = [list(r) for r in LoopMatrix.identity(ring, n).rows]
-    v = [list(r) for r in LoopMatrix.identity(ring, n).rows]
+    # a = U m V; step s writes only U's column s and V's row s, the pivot cross
+    zero, one = LaurentSeries.zero(ring), LaurentSeries.one(ring)
+    u, v = [[zero] * n for _ in range(n)], [[zero] * n for _ in range(n)]
+    rows, cols = list(range(n)), list(range(n))  # input row and column of each position of m
     divisors = []
     for s in range(n):
         i0, j0 = _min_valuation_pivot(m, s, precision)
-        if i0 != s:
-            m[s], m[i0] = m[i0], m[s]
-            for r in u:
-                r[s], r[i0] = r[i0], r[s]
+        m[s], m[i0] = m[i0], m[s]
+        rows[s], rows[i0] = rows[i0], rows[s]
         if j0 != s:
             for r in m:
                 r[s], r[j0] = r[j0], r[s]
-            v[s], v[j0] = v[j0], v[s]
-        pivot = m[s][s]
-        val = pivot.shift
+            cols[s], cols[j0] = cols[j0], cols[s]
+        val = m[s][s].shift
+        u[rows[s]][s] = w = m[s][s].shifted(-val)
         # scale the pivot row by the inverse unit part; exact when monomial
-        w_inv = pivot.shifted(-val).invert(precision)
+        w_inv = w.invert(precision)
         # rows <= s and columns < s are dead; column ops below read column s
         m[s][s:] = [e.mul(w_inv) for e in m[s][s:]]
-        for r in u:
-            r[s] = r[s].mul(pivot.shifted(-val))
         for i in range(s + 1, n):
             e = m[i][s]
             # an entry zero only on its window must still carry its O(t^k)
             if e.is_exact_zero:
                 continue
-            q = e.shifted(-val)  # in k[[t]] because the pivot valuation is minimal
+            q = u[rows[i]][s] = e.shifted(-val)  # in k[[t]]: the pivot valuation is minimal
             m[i][s:] = [x.sub(q.mul(y)) for x, y in zip(m[i][s:], m[s][s:])]
-            for r in u:
-                r[s] = r[s].add(q.mul(r[i]))
+        v[s][cols[s]] = one
         for j in range(s + 1, n):
             e = m[s][j]
             if e.is_exact_zero:
                 continue
-            q = e.shifted(-val)
+            q = v[s][cols[j]] = e.shifted(-val)
             # also a row whose column-s entry is an O(t^k): its window carries on
             for row in m[s + 1 :]:
                 row[j] = row[j].sub(row[s].mul(q))
-            v[s] = [x.add(q.mul(y)) for x, y in zip(v[s], v[j])]
         divisors.append(val)
     # the divisors come out ascending; reversing the order of the columns of
     # u and of the rows of v makes lam dominant

@@ -296,7 +296,9 @@ class LaurentSeries:
     def invert(self, precision: int | None = None) -> "LaurentSeries":
         """Reciprocal.  The window length of the input is preserved; an exact
         input yields an exact monomial inverse or a series truncated at
-        `precision` (default 16)."""
+        `precision` (default 16; at least 1)."""
+        if precision is not None and precision < 1:
+            raise DomainError(f"working precision must be at least 1, got {precision}")
         ring = self.ring
         if not self.coeffs:
             raise ZeroToPrecision(

@@ -1,7 +1,11 @@
 """Cartan factorization against hand reductions and the minors oracle."""
 
+import collections
+import itertools
+import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +27,7 @@ from loopgr import (
     stratum,
     transpose_inverse,
 )
-from loopgr import loops
+from loopgr import cartan, loops
 from loopgr.errors import DomainError, PrecisionError, SingularToPrecision
 
 from conftest import minors_stratum_oracle
@@ -198,3 +202,63 @@ def test_stratum_expands_no_determinant(monkeypatch):
             except (PrecisionError, SingularToPrecision):
                 pass
     assert answered >= 8
+
+
+@pytest.mark.parametrize("args, products", [((3, 2, 7), 19), ((4, 1, 3), 44), ((5, 2, 0), 85)])
+def test_smith_normal_form_forms_no_product_for_the_transforms(monkeypatch, args, products):
+    # a block of size k costs k scalings, k(k-1) row and (k-1)^2 column updates;
+    # U and V are written from the pivot cross and cost no product
+    loop = random_loop(*args)
+    monkeypatch.setattr(cartan, "_certify", lambda *_: None)
+    calls, mul = [], LaurentSeries.mul
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentSeries, "mul", counted)
+    smith_normal_form(loop)
+    assert len(calls) == products == sum(k * k + (k - 1) ** 2 for k in range(1, loop.n + 1))
+
+
+def _hermite_lattices(ring, n, bound):
+    """Every lattice between t^B O^n and t^-B O^n (and some beyond), once each,
+    by its upper-triangular Hermite basis: diagonal t^a_i with a_i in [-B, B],
+    entry (i, j), i < j, a polynomial with exponents in [-B, a_i)."""
+    zero = LaurentSeries.zero(ring)
+    scalars = [ring.of(c) for c in range(ring.p)]
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for diag in itertools.product(range(-bound, bound + 1), repeat=n):
+        choices = [itertools.product(scalars, repeat=diag[i] + bound) for i, _ in cells]
+        for entries in itertools.product(*choices):
+            rows = [[zero] * n for _ in range(n)]
+            for i, a in enumerate(diag):
+                rows[i][i] = LaurentSeries.t_power(ring, a)
+            for (i, j), cs in zip(cells, entries):
+                rows[i][j] = LaurentSeries.make(ring, -bound, cs, None)
+            yield LoopMatrix(rows)
+
+
+def _cell_size(lam, q):
+    """|K t^lam K / K| over F_q: q^<2rho, lam> [n]! / prod [m_i]!, the
+    q-factorials at 1/q (Macdonald, Symmetric Functions, ch. V)."""
+    x = Fraction(1, q)
+
+    def factorial(k):
+        return math.prod(sum(x**e for e in range(i)) for i in range(1, k + 1))
+
+    dim = sum(a - b for a, b in itertools.combinations(lam, 2))
+    blocks = parabolic_type(Cocharacter(lam)).blocks
+    return q**dim * factorial(len(lam)) / math.prod(factorial(m) for m in blocks)
+
+
+@pytest.mark.parametrize("q, n, bound", [(2, 2, 2), (3, 2, 2), (2, 3, 1), (3, 3, 1)])
+def test_stratum_counts_match_cartan_cell_sizes(q, n, bound):
+    # an oracle that shares no code with elimination: counting lattices
+    tally = collections.Counter(
+        stratum(g).entries for g in _hermite_lattices(PrimeField(q), n, bound)
+    )
+    inner = list(itertools.combinations_with_replacement(range(bound, -bound - 1, -1), n))
+    assert len(inner) == math.comb(n + 2 * bound, n)
+    for lam in inner:
+        assert tally[lam] == _cell_size(lam, q), lam

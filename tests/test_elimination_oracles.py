@@ -1,9 +1,11 @@
 """Full-update eliminations kept as reference oracles.
 
 `smith_normal_form` and `LoopMatrix._gauss_inverse` update only the entries
-of the working matrix that are read again.  The copies below are the
-eliminations as first written: they update every entry, and Gauss-Jordan
-carries the inverse as a second matrix in lockstep.  On a seeded corpus every
+of the working matrix that are read again, and `smith_normal_form` writes its
+transforms U and V from the pivot cross of each step.  The copies below are
+the eliminations as first written: they update every entry, Gauss-Jordan
+carries the inverse as a second matrix in lockstep, and the Smith form mirrors
+every row and column operation on U and V.  On a seeded corpus every
 value (each entry's group, shift, coefficients and window) and every error
 (class, message, suggested precision) must agree exactly.
 
@@ -463,7 +465,8 @@ def test_gauss_inverse_matches_full_update_oracle():
 
 def test_smith_normal_form_matches_full_update_oracle():
     seen = []
-    for m, p in corpus("snf-oracle", [QQ, PrimeField(10007)], range(1, 6), 9, (None, 10, 24)):
+    # precision 2 compares U and V also at the shortest pivot inverses
+    for m, p in corpus("snf-oracle", [QQ, PrimeField(10007)], range(1, 6), 9, (None, 2, 10, 24)):
         got = outcome(lambda: smith_normal_form(m, p), _fact_key)
         assert got == outcome(lambda: full_smith_normal_form(m, p), _fact_key)
         seen.append(got)

@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from loopgr import QQ, ArtinianRing, LaurentSeries, PrimeField, RationalFunction, expand_shift
+from loopgr import (
+    QQ,
+    ArtinianRing,
+    LaurentSeries,
+    PrimeField,
+    RationalFunction,
+    expand_shift,
+    random_loop,
+    stratum,
+)
 from loopgr.errors import (
     BackendMismatch,
     DomainError,
@@ -106,6 +115,18 @@ def test_invert_errors():
     nil = LaurentSeries.from_terms(A, [(0, A.gen())])
     with pytest.raises(NonUnitLeading):
         nil.invert()
+
+
+def test_working_precision_below_one_is_a_domain_error():
+    # the library refuses it where a precision becomes a window length, as the CLI does
+    loop = random_loop(3, 2, 1)
+    with pytest.raises(DomainError):
+        stratum(loop, 0)
+    with pytest.raises(DomainError):
+        loop.pole_bound(-1)
+    with pytest.raises(DomainError):
+        S([(0, 1), (1, 1)]).invert(0)
+    assert S([(0, 1), (1, 1)]).invert(1).known_end == 1
 
 
 def test_valuation_examples():
