@@ -3,12 +3,18 @@
 Every backend works with plain immutable element representations (Fraction,
 int, tuple) and exposes the same method surface, so series and matrix code is
 generic over the backend.  No floating point anywhere.
+
+A field backend k supplies two hooks through which k[x]/(x^m) multiplies its
+series as integers: ``to_ints(cs) -> (d, ints)`` writes a list of values as
+ints over one denominator d, and ``from_ints(ints, d)`` turns each int over d
+back into one canonical value.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .errors import MAX_DIGITS, MAX_PRECISION, BackendMismatch, DomainError, NonUnitLeading
@@ -249,6 +255,12 @@ class RationalField(Ring):
             p *= a0
         return out
 
+    to_ints = staticmethod(_integer_numerators)
+
+    @staticmethod
+    def from_ints(ints, d) -> list:
+        return [Fraction(c, d) for c in ints]
+
     def parse(self, s: str) -> Fraction:
         s = s.strip()
         match = RATIONAL_LITERAL.match(s)
@@ -311,6 +323,14 @@ class PrimeField(Ring):
         if not a:
             raise NonUnitLeading(f"division by zero in {self.name}")
         return pow(a, self.p - 2, self.p)
+
+    @staticmethod
+    def to_ints(cs) -> tuple:
+        return 1, cs
+
+    def from_ints(self, ints, d) -> list:
+        p = self.p
+        return [c % p for c in ints]
 
     def parse(self, s: str) -> int:
         return self.of(QQ.parse(s))
@@ -393,6 +413,35 @@ class ArtinianRing(Ring):
 
     def mul(self, a, b):
         return tuple(self.base.mul_vec(a, b, self.m))
+
+    def mul_vec(self, a, b, limit=None) -> list:
+        # A series over k[x]/(x^m) is a polynomial in t and x, multiplied as
+        # one integer convolution.  Flattened, the coefficient of t^i x^u sits
+        # at i*m + u, so a term of a at p and one of b at k meet at p + k.  A
+        # pair is skipped when its x-degree would reach m, so no product of
+        # x-degree m or more is formed; a run over b stops at the t-cut.
+        if not a or not b:
+            return []
+        size = len(a) + len(b) - 1
+        if limit is not None and limit < size:
+            size = max(limit, 0)
+        m, base = self.m, self.base
+        da, na = base.to_ints(list(chain.from_iterable(a[:size])))
+        db, nb = base.to_ints(list(chain.from_iterable(b[:size])))
+        terms = [(k, e, k % m) for k, e in enumerate(nb) if e]
+        end = size * m
+        out = [0] * end
+        for p, c in enumerate(na):
+            if not c:
+                continue
+            last, cut = end - p, m - p % m
+            for k, e, v in terms:
+                if k >= last:
+                    break
+                if v < cut:
+                    out[p + k] += c * e
+        values = iter(base.from_ints(out, da * db))
+        return list(zip(*[values] * m))
 
     def inv(self, a):
         # Power-series reciprocal truncated at x^m; needs a unit residue.

@@ -198,6 +198,107 @@ def test_qq_kernels_property():
     check()
 
 
+# ArtinianRing overrides mul_vec with one integer convolution in t and x; the
+# generic Ring kernel, one ArtinianRing.mul and .add per pair of coefficients,
+# is its oracle.
+
+_ART_BASES = [QQ, PrimeField(10007), PrimeField(2)]
+
+
+def _base_value(base, rng):
+    return _rational(rng, rng.choice((3, 40))) if base is QQ else base.random(rng)
+
+
+def _art_entry(ring, rng, kind):
+    """A k[x]/(x^m) value: zero, a constant lift, nilpotent only, or dense."""
+    base = ring.base
+    if kind == "zero":
+        return ring.zero
+    if kind == "constant":
+        return ring.from_base(_base_value(base, rng))
+    lead = base.zero if kind == "nilpotent" else _base_value(base, rng)
+    return (lead,) + tuple(_base_value(base, rng) for _ in range(ring.m - 1))
+
+
+def _art_vector(ring, rng, length):
+    kinds = ("zero", "constant", "nilpotent", "dense")
+    kind = rng.choice(kinds[1:] + ("mixed",))
+    return [
+        _art_entry(ring, rng, rng.choice(kinds) if kind == "mixed" else kind) for _ in range(length)
+    ]
+
+
+def _is_canonical(base, c):
+    if base is QQ:
+        return type(c) is Fraction
+    return type(c) is int and 0 <= c < base.p
+
+
+def _check_art_mul(ring, a, b, limit):
+    got = ring.mul_vec(a, b, limit)
+    assert got == Ring.mul_vec(ring, a, b, limit)
+    for c in got:
+        assert type(c) is tuple and len(c) == ring.m
+        assert all(_is_canonical(ring.base, x) for x in c)
+
+
+@pytest.mark.parametrize("base", _ART_BASES, ids=lambda r: r.name)
+def test_artinian_kernel_matches_generic_kernel(base):
+    rng = random.Random(f"artinian-kernel:{base.name}")
+    for m in (1, 2, 3, 4, 5, 6, 16):
+        ring = ArtinianRing(base, m)
+        for length in range(1, 13):
+            a, b = _art_vector(ring, rng, length), _art_vector(ring, rng, rng.randint(1, 12))
+            if length % 2:  # zero tuples at both ends and inside
+                a[0] = a[-1] = b[len(b) // 2] = ring.zero
+            full = len(a) + len(b) - 1
+            for limit in (None, 0, -3, 1, full // 2, full - 1, full, full + 5):
+                _check_art_mul(ring, a, b, limit)
+        _check_art_mul(ring, [ring.zero] * 3, [ring.one, ring.zero], None)
+        _check_art_mul(ring, [ring.gen()] * 2, [ring.gen()] * 3, None)
+        assert ring.mul_vec([], [ring.one]) == ring.mul_vec([ring.one], []) == []
+
+
+def test_artinian_kernel_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rings = st.sampled_from(_ART_BASES).flatmap(
+        lambda base: st.sampled_from((1, 2, 3, 4, 5, 6, 16)).map(lambda m: ArtinianRing(base, m))
+    )
+    big = 2**64
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(rings, st.data())
+    def check(ring, data):
+        if ring.base is QQ:
+            raw = st.builds(Fraction, st.integers(-big, big), st.integers(1, big)) | st.just(0)
+        else:
+            raw = st.integers(-big, big) | st.just(0)
+        entry = st.lists(raw, min_size=ring.m, max_size=ring.m).map(ring.of)
+        vectors = st.lists(entry | st.just(ring.zero), min_size=1, max_size=8)
+        a, b = data.draw(vectors), data.draw(vectors)
+        _check_art_mul(ring, a, b, data.draw(st.none() | st.integers(-3, 30)))
+
+    check()
+
+
+@pytest.mark.parametrize("ring", [ArtinianRing(QQ, 3), ArtinianRing(PrimeField(7), 2)], ids=lambda r: r.name)
+def test_artinian_series_product_runs_no_scalar_product(monkeypatch, ring):
+    rng = random.Random(f"no-scalar-product:{ring.name}")
+    s_terms = [(e, ring.random(rng)) for e in range(-2, 4)]
+    t_terms = [(e, ring.random_unit(rng)) for e in range(5)]
+    s, t = LaurentSeries.from_terms(ring, s_terms), LaurentSeries.from_terms(ring, t_terms, 7)
+    expected = PolyModel(ring, dict(s_terms)).mul(PolyModel(ring, dict(t_terms), 7))
+
+    def forbidden(*args):
+        raise AssertionError("a series product ran a scalar k[x]/(x^m) operation")
+
+    monkeypatch.setattr(ArtinianRing, "mul", forbidden)
+    monkeypatch.setattr(ArtinianRing, "add", forbidden)
+    assert expected.matches(s.mul(t))
+    assert expected.matches(t.mul(s))
+
+
 # ---------------------------------------------------------------------------
 # equality: canonical values compare with ==, backends by their key
 
