@@ -10,8 +10,11 @@ multiplicity pattern names the associated parabolic type.
 The reduction pivots on an entry of minimal valuation, ties broken by the
 smallest row then column index, and divides out unit parts exactly when the
 entries permit.  Step s writes u's column s and v's row s once, from the pivot
-cross of step s; nothing is mirrored on u or v.  Before reporting, the
-factorization is verified against the input on the certified window.
+cross of step s; nothing is mirrored on u or v.  Every row and column
+update x - q*y is one ``LaurentSeries.dot``.  Before reporting, the
+factorization is verified against the input on the certified window in one
+residual pass: each entry of u * t^lam * v - a is one ``dot`` of n + 1
+products, so no product matrix is built.
 """
 
 from __future__ import annotations
@@ -152,16 +155,18 @@ def smith_normal_form(a: LoopMatrix, precision: int | None = None) -> CartanFact
             if e.is_exact_zero:
                 continue
             q = u[rows[i]][s] = e.shifted(-val)  # in k[[t]]: the pivot valuation is minimal
-            m[i][s:] = [x.sub(q.mul(y)) for x, y in zip(m[i][s:], m[s][s:])]
+            nq = q.neg()
+            m[i][s:] = [LaurentSeries.dot(((x, one), (nq, y))) for x, y in zip(m[i][s:], m[s][s:])]
         v[s][cols[s]] = one
         for j in range(s + 1, n):
             e = m[s][j]
             if e.is_exact_zero:
                 continue
             q = v[s][cols[j]] = e.shifted(-val)
+            nq = q.neg()
             # also a row whose column-s entry is an O(t^k): its window carries on
             for row in m[s + 1 :]:
-                row[j] = row[j].sub(row[s].mul(q))
+                row[j] = LaurentSeries.dot(((row[j], one), (row[s], nq)))
         divisors.append(val)
     # the divisors come out ascending; reversing the order of the columns of
     # u and of the rows of v makes lam dominant
@@ -180,9 +185,13 @@ def _certify(a, fact, precision):
             "reduction produced non-positive transforms; refine the input windows",
             precision,
         )
-    for pr, ar in zip(fact.product().rows, a.rows):
-        for pe, ae in zip(pr, ar):
-            res = pe.sub(ae)
+    # each residual (left * t^lam * right - a)_ij is one sum of n + 1 products
+    lam, minus_one = fact.cocharacter.entries, LaurentSeries.one(a.ring).neg()
+    cols = list(zip(*fact.right.rows))
+    for r, ar in zip(fact.left.rows, a.rows):
+        lr = [e.shifted(k) for e, k in zip(r, lam)]
+        for col, ae in zip(cols, ar):
+            res = LaurentSeries.dot([*zip(lr, col), (ae, minus_one)])
             if not res.is_zero_to_precision:
                 raise InsufficientPrecision(
                     "reconstruction residual does not vanish on the certified window",

@@ -75,7 +75,7 @@ class Factorization:
         for f in self.factors:
             i, j = f.position[0] - 1, f.position[1] - 1
             for r in rows:
-                r[j] = r[j].add(r[i].mul(f.parameter))
+                r[j] = LaurentSeries.dot(((r[j], one), (r[i], f.parameter)))
         out = LoopMatrix(rows)
         out._det, out.group = det, group
         return out

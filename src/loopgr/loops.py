@@ -35,12 +35,12 @@ def _minor(rows, ri, ci, memo) -> LaurentSeries:
     if key in memo:
         return memo[key]
     top, rest = rows[ri[0]], ri[1:]
-    acc = None
-    for k, c in enumerate(ci):
-        term = top[c].mul(_minor(rows, rest, ci[:k] + ci[k + 1 :], memo))
-        if k % 2:
-            term = term.neg()
-        acc = term if acc is None else acc.add(term)
+    acc = LaurentSeries.dot(
+        [
+            (top[c].neg() if k % 2 else top[c], _minor(rows, rest, ci[:k] + ci[k + 1 :], memo))
+            for k, c in enumerate(ci)
+        ]
+    )
     memo[key] = acc
     return acc
 
@@ -123,16 +123,8 @@ class LoopMatrix:
         if self.n != other.n:
             raise DomainError("size mismatch in loop product")
         self.ring.require_same(other.ring)
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.rows[i][0].mul(other.rows[0][j])
-                for k in range(1, n):
-                    acc = acc.add(self.rows[i][k].mul(other.rows[k][j]))
-                row.append(acc)
-            rows.append(row)
+        cols = list(zip(*other.rows))
+        rows = [[LaurentSeries.dot(list(zip(r, c))) for c in cols] for r in self.rows]
         group = "SL" if self.group == other.group == "SL" else "GL"
         return LoopMatrix(rows, group)
 
@@ -188,7 +180,7 @@ class LoopMatrix:
     def _gauss_inverse(self, precision: int | None) -> "LoopMatrix":
         # Gauss-Jordan on [a | I] with valuation-minimizing pivots; a row
         # operation updates only the columns right of the pivot column
-        n = self.n
+        n, one = self.n, LaurentSeries.one(self.ring)
         m = [list(r + e) for r, e in zip(self.rows, LoopMatrix.identity(self.ring, n).rows)]
         for s in range(n):
             i0, _ = _min_valuation_pivot(m, s, precision, rows_only=True)
@@ -201,7 +193,10 @@ class LoopMatrix:
                 # an entry zero only on its window must still carry its O(t^k)
                 if row is top or q.is_exact_zero:
                     continue
-                row[s + 1 :] = [a.sub(q.mul(b)) for a, b in zip(row[s + 1 :], top[s + 1 :])]
+                nq = q.neg()
+                row[s + 1 :] = [
+                    LaurentSeries.dot(((a, one), (nq, b))) for a, b in zip(row[s + 1 :], top[s + 1 :])
+                ]
         return LoopMatrix([r[n:] for r in m], self.group)
 
     # -- loop-group structure ----------------------------------------------

@@ -4,10 +4,12 @@ Every backend works with plain immutable element representations (Fraction,
 int, tuple) and exposes the same method surface, so series and matrix code is
 generic over the backend.  No floating point anywhere.
 
-A field backend k supplies two hooks through which k[x]/(x^m) multiplies its
-series as integers: ``to_ints(cs) -> (d, ints)`` writes a list of values as
-ints over one denominator d, and ``from_ints(ints, d)`` turns each int over d
-back into one canonical value.
+The series kernel is ``dot_vec(terms, size)``: the first `size` coefficients
+of a sum of shifted products of coefficient sequences.  A field backend k
+supplies two hooks through which QQ and k[x]/(x^m) run it in integers:
+``to_ints(cs) -> (d, ints)`` writes a list of values as ints over one
+denominator d, and ``from_ints(ints, d)`` turns each int over d back into one
+canonical value.  Their ``mul_vec`` is the one-pair case of their ``dot_vec``.
 """
 
 from __future__ import annotations
@@ -66,8 +68,31 @@ def signed_sum(terms, var: str) -> str:
 def _integer_numerators(a) -> tuple:
     """(d, [x * d for x in a]) with d the lcm of the denominators of a, so
     every entry of the list is an int."""
-    d = lcm(*[x.denominator for x in a])
-    return d, [x.numerator * (d // x.denominator) for x in a]
+    ratios = [x.as_integer_ratio() for x in a]
+    d = lcm(*[q for _, q in ratios])
+    return d, [p * (d // q) for p, q in ratios]
+
+
+def _common_denominator(to_ints, terms) -> tuple:
+    """(d, [(offset, ints_x, ints_y)]): each (offset, a, b) term written in
+    ints by `to_ints`, the shorter operand first, as the outer loop of a
+    convolution, and its ints scaled so that every product lies over the one
+    denominator d, the lcm of the products' denominators."""
+    conv = []
+    for offset, a, b in terms:
+        da, na = to_ints(a)
+        db, nb = to_ints(b)
+        conv.append((offset, da * db, na, nb) if len(na) <= len(nb) else (offset, da * db, nb, na))
+    d = lcm(*[dk for _, dk, _, _ in conv])
+    return d, [(o, na if dk == d else [x * (d // dk) for x in na], nb) for o, dk, na, nb in conv]
+
+
+def _product_size(a, b, limit) -> int:
+    """How many coefficients mul_vec(a, b, limit) returns."""
+    if not a or not b:
+        return 0
+    size = len(a) + len(b) - 1
+    return size if limit is None or limit >= size else max(limit, 0)
 
 
 def echelon_insert(field, pivots, row) -> int:
@@ -128,11 +153,7 @@ class Ring:
     def mul_vec(self, a, b, limit=None) -> list:
         """The first `limit` coefficients (all when None) of the product of
         two coefficient sequences indexed by exponent."""
-        if not a or not b:
-            return []
-        size = len(a) + len(b) - 1
-        if limit is not None and limit < size:
-            size = max(limit, 0)
+        size = _product_size(a, b, limit)
         add, mul, is_zero = self.add, self.mul, self.is_zero
         out = [self.zero] * size
         for i, ai in enumerate(a[:size]):
@@ -140,6 +161,19 @@ class Ring:
                 continue
             for j, bj in enumerate(b[: size - i], i):
                 out[j] = add(out[j], mul(ai, bj))
+        return out
+
+    def dot_vec(self, terms, size: int) -> list:
+        """The first `size` coefficients of the sum of t^offset * a * b over
+        the (offset, a, b) terms, offset >= 0: one mul_vec per term and at
+        most one add per coefficient of it, since a slot that is still a
+        falsy zero takes the product coefficient without an add."""
+        add = self.add
+        out = [self.zero] * size
+        for offset, a, b in terms:
+            for j, c in enumerate(self.mul_vec(a, b, size - offset), offset):
+                o = out[j]
+                out[j] = add(o, c) if o else c
         return out
 
     def inv_vec(self, a, length: int) -> list:
@@ -208,26 +242,26 @@ class RationalField(Ring):
             raise NonUnitLeading("division by zero in QQ")
         return 1 / a
 
-    # The two series kernels run on integer numerators over one common
-    # denominator, so the inner loops do no gcd work; Fraction values are
-    # canonical, so the outputs equal those of the generic kernels.
+    # The series kernels run on integer numerators over one common
+    # denominator, so the inner loops do no gcd work and each output
+    # coefficient is one Fraction; Fraction values are canonical, so the
+    # outputs equal those of the generic kernels.
 
     def mul_vec(self, a, b, limit=None) -> list:
-        if not a or not b:
-            return []
-        size = len(a) + len(b) - 1
-        if limit is not None and limit < size:
-            size = max(limit, 0)
-        da, na = _integer_numerators(a[:size])
-        db, nb = _integer_numerators(b[:size])
+        return self.dot_vec(((0, a, b),), _product_size(a, b, limit))
+
+    def dot_vec(self, terms, size: int) -> list:
+        d, conv = _common_denominator(
+            _integer_numerators, [(o, a[: size - o], b[: size - o]) for o, a, b in terms if o < size]
+        )
         out = [0] * size
-        for i, ai in enumerate(na):
-            if not ai:
-                continue
-            for j, bj in enumerate(nb[: size - i], i):
-                out[j] += ai * bj
-        d = da * db
-        return [Fraction(c, d) for c in out]
+        for offset, na, nb in conv:
+            for i, ai in enumerate(na, offset):
+                if not ai:
+                    continue
+                for j, bj in enumerate(nb[: size - i], i):
+                    out[j] += ai * bj
+        return self.from_ints(out, d)
 
     def inv_vec(self, a, length: int) -> list:
         # 1/a = da / N with N = da * a, and 1/N = sum_k c_k t^k / a0^(k+1)
@@ -257,9 +291,9 @@ class RationalField(Ring):
 
     to_ints = staticmethod(_integer_numerators)
 
-    @staticmethod
-    def from_ints(ints, d) -> list:
-        return [Fraction(c, d) for c in ints]
+    def from_ints(self, ints, d) -> list:
+        zero = self.zero
+        return [Fraction(c, d) if c else zero for c in ints]
 
     def parse(self, s: str) -> Fraction:
         s = s.strip()
@@ -415,32 +449,38 @@ class ArtinianRing(Ring):
         return tuple(self.base.mul_vec(a, b, self.m))
 
     def mul_vec(self, a, b, limit=None) -> list:
-        # A series over k[x]/(x^m) is a polynomial in t and x, multiplied as
-        # one integer convolution.  Flattened, the coefficient of t^i x^u sits
-        # at i*m + u, so a term of a at p and one of b at k meet at p + k.  A
-        # pair is skipped when its x-degree would reach m, so no product of
-        # x-degree m or more is formed; a run over b stops at the t-cut.
-        if not a or not b:
-            return []
-        size = len(a) + len(b) - 1
-        if limit is not None and limit < size:
-            size = max(limit, 0)
+        return self.dot_vec(((0, a, b),), _product_size(a, b, limit))
+
+    def dot_vec(self, terms, size: int) -> list:
+        # A series over k[x]/(x^m) is a polynomial in t and x, so a sum of
+        # products is one integer convolution.  Flattened, the coefficient of
+        # t^i x^u sits at i*m + u, so a term of a at p and one of b at k meet
+        # at offset*m + p + k.  A pair is skipped when its x-degree would
+        # reach m, so no product of x-degree m or more is formed; a run over b
+        # stops at the t-cut.
         m, base = self.m, self.base
-        da, na = base.to_ints(list(chain.from_iterable(a[:size])))
-        db, nb = base.to_ints(list(chain.from_iterable(b[:size])))
-        terms = [(k, e, k % m) for k, e in enumerate(nb) if e]
+        d, conv = _common_denominator(
+            base.to_ints,
+            [
+                (o * m, list(chain.from_iterable(a[: size - o])), list(chain.from_iterable(b[: size - o])))
+                for o, a, b in terms
+                if o < size
+            ],
+        )
         end = size * m
         out = [0] * end
-        for p, c in enumerate(na):
-            if not c:
-                continue
-            last, cut = end - p, m - p % m
-            for k, e, v in terms:
-                if k >= last:
-                    break
-                if v < cut:
-                    out[p + k] += c * e
-        values = iter(base.from_ints(out, da * db))
+        for offset, na, nb in conv:
+            runs = [(k, e, k % m) for k, e in enumerate(nb) if e]
+            for p, c in enumerate(na):
+                if not c:
+                    continue
+                last, cut = end - offset - p, m - p % m
+                for k, e, v in runs:
+                    if k >= last:
+                        break
+                    if v < cut:
+                        out[offset + p + k] += c * e
+        values = iter(base.from_ints(out, d))
         return list(zip(*[values] * m))
 
     def inv(self, a):

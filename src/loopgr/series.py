@@ -284,6 +284,31 @@ class LaurentSeries:
         limit = None if end is None else end - shift
         return LaurentSeries.make(ring, shift, ring.mul_vec(self.coeffs, other.coeffs, limit), end)
 
+    @staticmethod
+    def dot(pairs) -> "LaurentSeries":
+        """The sum of a * b over a non-empty sequence of (a, b) pairs, value
+        and window as the left fold of mul and add gives it: the window ends
+        at the least product_end of the pairs, and a pair with an exactly
+        zero operand adds nothing, not even a window."""
+        ring = pairs[0][0].ring
+        end, terms = None, []
+        for a, b in pairs:
+            ring.require_same(a.ring)
+            ring.require_same(b.ring)
+            if a.is_exact_zero or b.is_exact_zero:
+                continue
+            end = _min_end(end, a.product_end(b))
+            if a.coeffs and b.coeffs:
+                terms.append((a.shift + b.shift, a.coeffs, b.coeffs))
+        if not terms:
+            return LaurentSeries.make(ring, 0, (), end)
+        lo = min(s for s, _, _ in terms)
+        hi = max(s + len(a) + len(b) - 1 for s, a, b in terms)
+        if end is not None:
+            hi = max(min(hi, end), lo)
+        vec = ring.dot_vec([(s - lo, a, b) for s, a, b in terms], hi - lo)
+        return LaurentSeries.make(ring, lo, vec, end)
+
     def shifted(self, k: int) -> "LaurentSeries":
         """Multiplication by t^k, always exact."""
         return LaurentSeries(

@@ -11,6 +11,7 @@ import pytest
 
 from loopgr import (
     QQ,
+    ArtinianRing,
     Cocharacter,
     LaurentSeries,
     LoopMatrix,
@@ -28,6 +29,7 @@ from loopgr import (
     transpose_inverse,
 )
 from loopgr import cartan, loops
+from loopgr.factorization import ElementaryFactor, Factorization
 from loopgr.errors import DomainError, PrecisionError, SingularToPrecision
 
 from conftest import minors_stratum_oracle
@@ -204,21 +206,59 @@ def test_stratum_expands_no_determinant(monkeypatch):
     assert answered >= 8
 
 
+def _is_exact_unit_sign(e):
+    ring = e.ring
+    return e.is_exact and e.shift == 0 and e.coeffs in ((ring.one,), (ring.neg(ring.one),))
+
+
 @pytest.mark.parametrize("args, products", [((3, 2, 7), 19), ((4, 1, 3), 44), ((5, 2, 0), 85)])
 def test_smith_normal_form_forms_no_product_for_the_transforms(monkeypatch, args, products):
     # a block of size k costs k scalings, k(k-1) row and (k-1)^2 column updates;
-    # U and V are written from the pivot cross and cost no product
+    # U and V are written from the pivot cross and cost no product.  A product
+    # is a mul call or a pair of a dot with no exact +-1 operand.
     loop = random_loop(*args)
     monkeypatch.setattr(cartan, "_certify", lambda *_: None)
-    calls, mul = [], LaurentSeries.mul
+    calls, mul, dot = [], LaurentSeries.mul, LaurentSeries.dot
 
     def counted(self, other):
         calls.append(None)
         return mul(self, other)
 
+    def counted_dot(pairs):
+        calls.extend(None for a, b in pairs if not (_is_exact_unit_sign(a) or _is_exact_unit_sign(b)))
+        return dot(pairs)
+
     monkeypatch.setattr(LaurentSeries, "mul", counted)
+    monkeypatch.setattr(LaurentSeries, "dot", staticmethod(counted_dot))
     smith_normal_form(loop)
     assert len(calls) == products == sum(k * k + (k - 1) ** 2 for k in range(1, loop.n + 1))
+
+
+def test_stratum_products_and_eliminations_form_no_series_sum(monkeypatch):
+    # every sum of products runs through LaurentSeries.dot: no product is
+    # formed first and then added or subtracted
+    art = ArtinianRing(QQ, 3)
+    a, b = random_loop(4, 2, 5), random_loop(4, 2, 6)
+    x = LaurentSeries.from_terms(art, [(-1, (1, 2, 0)), (1, (0, 1, -3))], 6)
+    y = LaurentSeries.from_terms(art, [(0, (2, 0, 1)), (2, (1, 1, 1))])
+    factors = [ElementaryFactor((1, 2), x), ElementaryFactor((2, 1), y), ElementaryFactor((1, 2), y)]
+
+    def transvection_product():
+        # a fresh gamma each time, so its determinant is expanded again
+        gamma = LoopMatrix.from_rows(art, [[[(0, (1, 1, 0)), (1, (0, 0, 2))], 0], [[(1, (3, 0, 0))], 1]])
+        product = Factorization(art, factors, gamma).product()
+        return product, product.det()
+
+    expected = (stratum(a), a.mat_mul(b), transvection_product())
+
+    def forbidden(*args):
+        raise AssertionError("a series sum was formed outside LaurentSeries.dot")
+
+    monkeypatch.setattr(LaurentSeries, "add", forbidden)
+    monkeypatch.setattr(LaurentSeries, "sub", forbidden)
+    assert stratum(a) == expected[0]
+    assert a.mat_mul(b) == expected[1]
+    assert transvection_product() == expected[2]
 
 
 def _hermite_lattices(ring, n, bound):

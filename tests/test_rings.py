@@ -299,6 +299,88 @@ def test_artinian_series_product_runs_no_scalar_product(monkeypatch, ring):
     assert expected.matches(t.mul(s))
 
 
+# QQ and k[x]/(x^m) override dot_vec, the sum of shifted products, with one
+# integer pass over a common denominator; the generic Ring kernel, one
+# mul_vec and one add per term, is their oracle.  GF(p) runs the generic one.
+
+_DOT_RINGS = [QQ, PrimeField(10007)] + [
+    ArtinianRing(base, m) for base in (QQ, PrimeField(7)) for m in range(1, 5)
+]
+
+
+def _dot_vector(ring, rng, length):
+    if isinstance(ring, ArtinianRing):
+        return _art_vector(ring, rng, length)
+    if ring is QQ:
+        return _qq_vector(rng, length)
+    return [ring.random(rng) if rng.random() < 0.7 else ring.zero for _ in range(length)]
+
+
+def _is_canonical_value(ring, c):
+    if isinstance(ring, ArtinianRing):
+        return type(c) is tuple and len(c) == ring.m and all(_is_canonical(ring.base, x) for x in c)
+    return _is_canonical(ring, c)
+
+
+def _check_dot(ring, terms, size):
+    got = ring.dot_vec(terms, size)
+    assert got == Ring.dot_vec(ring, terms, size)
+    assert len(got) == size and all(_is_canonical_value(ring, c) for c in got)
+    if len(terms) == 1 and terms[0][0] == 0:
+        _, a, b = terms[0]
+        product = ring.mul_vec(a, b, size)
+        assert got == product + [ring.zero] * (size - len(product))
+
+
+@pytest.mark.parametrize("ring", _DOT_RINGS, ids=lambda r: r.name)
+def test_dot_kernel_matches_generic_kernel(ring):
+    rng = random.Random(f"dot-kernel:{ring.name}")
+    zero_vector = [ring.zero] * 3
+    for pairs in range(1, 7):
+        for _ in range(12):
+            terms = []
+            for _ in range(pairs):
+                a = _dot_vector(ring, rng, rng.randint(1, 8))
+                b = _dot_vector(ring, rng, rng.randint(1, 8))
+                if rng.random() < 0.2:  # an operand with no nonzero coefficient
+                    a = rng.choice(([], zero_vector))
+                terms.append((rng.randint(0, 6), a, b))
+            full = max(o + len(a) + len(b) - 1 for o, a, b in terms)
+            # offsets at, past and before the cut, and no output at all
+            for size in (0, 1, terms[0][0], terms[0][0] + 1, full // 2, full, full + 3):
+                _check_dot(ring, terms, size)
+    # a sum that cancels to zero: a*b + (-a)*b
+    a, b = _dot_vector(ring, rng, 5), _dot_vector(ring, rng, 4)
+    terms = [(1, a, b), (1, [ring.neg(x) for x in a], b)]
+    _check_dot(ring, terms, 9)
+    assert ring.dot_vec(terms, 9) == [ring.zero] * 9
+    assert ring.dot_vec([], 4) == [ring.zero] * 4
+
+
+def test_dot_kernel_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    big = 2**64
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(_DOT_RINGS), st.data())
+    def check(ring, data):
+        base = ring.base if isinstance(ring, ArtinianRing) else ring
+        if base is QQ:
+            raw = st.builds(Fraction, st.integers(-big, big), st.integers(1, big)) | st.just(0)
+        else:
+            raw = st.integers(-big, big) | st.just(0)
+        if isinstance(ring, ArtinianRing):
+            entry = st.lists(raw, min_size=ring.m, max_size=ring.m).map(ring.of)
+        else:
+            entry = raw.map(ring.of)
+        vectors = st.lists(entry, max_size=7)
+        terms = data.draw(st.lists(st.tuples(st.integers(0, 8), vectors, vectors), min_size=1, max_size=6))
+        _check_dot(ring, terms, data.draw(st.integers(0, 20)))
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # equality: canonical values compare with ==, backends by their key
 

@@ -228,6 +228,84 @@ def test_mul_against_model(any_ring):
         assert model_of(a).add(model_of(b)).matches(a.add(b))
 
 
+# LaurentSeries.dot sums products in one kernel pass; the left fold of mul and
+# add is its oracle, values and windows alike.
+
+_DOT_RINGS = [QQ, PrimeField(10007)] + [
+    ArtinianRing(base, m) for base in (QQ, PrimeField(7)) for m in range(1, 5)
+]
+
+
+def _dot_operand(ring, rng):
+    """Exactly zero, zero only on its window, exact or truncated, with
+    exponents from -3 on."""
+    kind = rng.choice(("zero", "window-zero", "exact", "truncated", "truncated"))
+    if kind == "zero":
+        return LaurentSeries.zero(ring)
+    if kind == "window-zero":
+        return LaurentSeries.zero(ring, rng.randint(-3, 4))
+    s = rand_exact_series(ring, rng, rng.randint(-3, 1), rng.randint(1, 4))
+    return s if kind == "exact" else s.truncated(rng.randint(-2, 6))
+
+
+def _folded(pairs):
+    acc = None
+    for a, b in pairs:
+        p = a.mul(b)
+        acc = p if acc is None else acc.add(p)
+    return acc
+
+
+def _check_dot(pairs):
+    got, want = LaurentSeries.dot(pairs), _folded(pairs)
+    assert got == want and got.known_end == want.known_end
+    if len(pairs) == 1:
+        assert got == pairs[0][0].mul(pairs[0][1])
+
+
+@pytest.mark.parametrize("ring", _DOT_RINGS, ids=lambda r: r.name)
+def test_dot_matches_fold_of_mul_and_add(ring):
+    rng = random.Random(f"series-dot:{ring.name}")
+    for count in range(1, 7):
+        for _ in range(40):
+            _check_dot([(_dot_operand(ring, rng), _dot_operand(ring, rng)) for _ in range(count)])
+    one, zero = LaurentSeries.one(ring), LaurentSeries.zero(ring)
+    a = rand_exact_series(ring, rng, -2, 3)
+    # a cancelling sum keeps the least window; exact zeros add no window
+    cancel = [(a.truncated(4), one), (a, one.neg()), (zero, a.truncated(-5))]
+    _check_dot(cancel)
+    assert LaurentSeries.dot(cancel) == LaurentSeries.zero(ring, 4)
+    # a product starting at or past the cut of another pair adds nothing
+    far = LaurentSeries.t_power(ring, 7)
+    _check_dot([(a.truncated(2), one), (far, a)])
+    _check_dot([(a.truncated(2), one), (far.shifted(-5), a)])
+    assert LaurentSeries.dot([(zero, a)]).is_exact_zero
+
+
+def test_dot_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # denominators prime to 7 and 10007, so every value maps into each backend
+    raw = st.builds(Fraction, st.integers(-50, 50), st.sampled_from((1, 2, 3, 4, 5, 6, 8, 9)))
+
+    def operands(ring):
+        if isinstance(ring, ArtinianRing):
+            scalars = st.lists(raw, min_size=ring.m, max_size=ring.m).map(ring.of)
+        else:
+            scalars = raw.map(ring.of)
+        terms = st.lists(st.tuples(st.integers(-3, 5), scalars), max_size=5)
+        ends = st.none() | st.integers(-3, 8)
+        return st.builds(lambda ts, end: LaurentSeries.from_terms(ring, ts, end), terms, ends)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(_DOT_RINGS), st.data())
+    def check(ring, data):
+        pair = st.tuples(operands(ring), operands(ring))
+        _check_dot(data.draw(st.lists(pair, min_size=1, max_size=6)))
+
+    check()
+
+
 def test_invert_two_sided_200_random_units(any_ring):
     ring = any_ring
     rng = random.Random(f"series-units:{ring.name}")
