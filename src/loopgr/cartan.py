@@ -34,7 +34,7 @@ class Cocharacter:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        entries = tuple([int(e) for e in self.entries])
         if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
             raise DomainError(f"cocharacter entries must be non-increasing: {entries}")
         object.__setattr__(self, "entries", entries)

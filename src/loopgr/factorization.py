@@ -94,7 +94,7 @@ class Factorization:
 
 
 def _unit_entry(e: LaurentSeries) -> bool:
-    return bool(e.coeffs) and e.ring.is_unit(e.coeffs[0])
+    return e.has_unit_lead()
 
 
 def factor_elementary(m: LoopMatrix, precision: int | None = None) -> Factorization:
@@ -119,7 +119,7 @@ def factor_elementary(m: LoopMatrix, precision: int | None = None) -> Factorizat
     if not m.det().agrees_with(one):
         raise DomainError("loop determinant must be 1 to precision")
     factors = _factor(m, precision)
-    out = Factorization(ring, tuple(f for f in factors if not f.parameter.is_exact_zero))
+    out = Factorization(ring, tuple([f for f in factors if not f.parameter.is_exact_zero]))
     if len(out) > 4:
         raise InsufficientPrecision("factorization exceeded the factor bound", precision)
     m._factorization[key] = out
@@ -228,5 +228,5 @@ def extend_point(
         fact = factor_elementary(lp, precision)
         lifted_loops.append(lift_factorization(fact, target, perturbations.get(i)).product())
     inf_loop = lifted_loops.pop() if datum.infinity_loop is not None else None
-    points = tuple(target.from_base(p.r) for p in datum.points)
+    points = tuple([target.from_base(p.r) for p in datum.points])
     return ModificationDatum(target, 2, points, tuple(lifted_loops), inf_loop)

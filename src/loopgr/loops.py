@@ -58,7 +58,7 @@ class LoopMatrix:
     )
 
     def __init__(self, rows, group: str = "GL"):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple([tuple(r) for r in rows])
         if not rows or any(len(r) != len(rows) for r in rows):
             raise DomainError("a loop matrix must be square and non-empty")
         ring = rows[0][0].ring
@@ -275,7 +275,7 @@ def _least_valuation(entries):
     """
     best = end = None
     for k, e in enumerate(entries):
-        if e.coeffs:
+        if not e.is_zero_to_precision:
             if best is None or e.shift < best[0]:
                 best = (e.shift, k)
         elif e.known_end is not None and (end is None or e.known_end < end):
@@ -289,8 +289,7 @@ def _min_valuation_pivot(m, s, precision, rows_only=False):
     the smallest row then column.  Raises when truncation hides the answer."""
     cols = [s] if rows_only else range(s, len(m))
     cells = [(i, j) for i in range(s, len(m)) for j in cols]
-    ring = m[s][s].ring
-    cand = [(i, j) for i, j in cells if not m[i][j].coeffs or ring.is_unit(m[i][j].coeffs[0])]
+    cand = [(i, j) for i, j in cells if m[i][j].is_zero_to_precision or m[i][j].has_unit_lead()]
     best, end = _least_valuation([m[i][j] for i, j in cand])
     if best is None:
         if len(cand) < len(cells):

@@ -129,8 +129,8 @@ class ModificationDatum:
         return ModificationDatum(
             ring,
             self.n,
-            tuple(fn(p.r) for p in self.points),
-            tuple(lp.map_coefficients(fn, ring) for lp in self.loops),
+            tuple([fn(p.r) for p in self.points]),
+            tuple([lp.map_coefficients(fn, ring) for lp in self.loops]),
             inf.map_coefficients(fn, ring) if inf is not None else None,
         )
 

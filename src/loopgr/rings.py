@@ -4,12 +4,16 @@ Every backend works with plain immutable element representations (Fraction,
 int, tuple) and exposes the same method surface, so series and matrix code is
 generic over the backend.  No floating point anywhere.
 
-The series kernel is ``dot_vec(terms, size)``: the first `size` coefficients
-of a sum of shifted products of coefficient sequences.  A field backend k
-supplies two hooks through which QQ and k[x]/(x^m) run it in integers:
-``to_ints(cs) -> (d, ints)`` writes a list of values as ints over one
-denominator d, and ``from_ints(ints, d)`` turns each int over d back into one
-canonical value.  Their ``mul_vec`` is the one-pair case of their ``dot_vec``.
+A coefficient vector is kept *packed* in ints, in one canonical form per
+backend: over GF(p) a tuple of ints in [0, p); over QQ ``(d, ints)``, meaning
+ints / d, with d > 0 and gcd(d, *ints) = 1; over k[x]/(x^m) the base's form,
+flattened (t^i x^u at index i*m + u).  No coefficient at either end is zero
+(the zero vector is ``()`` or ``(1, ())``), so equal vectors are equal tuples.
+``split(vec) -> (d, ints)`` reads one, and ``close(d, ints)`` packs raw ints:
+it cuts the zero ends and divides out the gcd or reduces mod p, once per
+coefficient.  The series kernels ``dot_vec``, one integer convolution for a
+sum of shifted products, and ``inv_vec``, the reciprocal, work on packed
+vectors only.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 from .errors import MAX_DIGITS, MAX_PRECISION, BackendMismatch, DomainError, NonUnitLeading
 
@@ -65,34 +69,34 @@ def signed_sum(terms, var: str) -> str:
     return out or "0"
 
 
-def _integer_numerators(a) -> tuple:
-    """(d, [x * d for x in a]) with d the lcm of the denominators of a, so
-    every entry of the list is an int."""
-    ratios = [x.as_integer_ratio() for x in a]
-    d = lcm(*[q for _, q in ratios])
-    return d, [p * (d // q) for p, q in ratios]
+def _strip(ints, width) -> tuple:
+    """(lo, body): ints without the zero coefficients, `width` ints each, at
+    both ends, and lo the number cut at the front (None if all were zero)."""
+    hi = len(ints)
+    while hi and not ints[hi - 1]:
+        hi -= 1
+    if not hi:
+        return None, ()
+    lo = 0
+    while not ints[lo]:
+        lo += 1
+    lo //= width
+    return lo, tuple(ints[lo * width : -(-hi // width) * width])
 
 
-def _common_denominator(to_ints, terms) -> tuple:
-    """(d, [(offset, ints_x, ints_y)]): each (offset, a, b) term written in
-    ints by `to_ints`, the shorter operand first, as the outer loop of a
-    convolution, and its ints scaled so that every product lies over the one
-    denominator d, the lcm of the products' denominators."""
+def _one_denominator(split, terms, size, width) -> tuple:
+    """(d, [(offset, f, na, nb)]) for the (offset, a, b) terms with offset < size:
+    ints cut at `size` coefficients, the shorter operand first, and f * na * nb
+    over d, the lcm of the products' denominators."""
     conv = []
-    for offset, a, b in terms:
-        da, na = to_ints(a)
-        db, nb = to_ints(b)
-        conv.append((offset, da * db, na, nb) if len(na) <= len(nb) else (offset, da * db, nb, na))
+    for o, a, b in terms:
+        if o < size:
+            (da, na), (db, nb) = split(a), split(b)
+            cut = (size - o) * width
+            na, nb = na[:cut], nb[:cut]
+            conv.append((o * width, da * db, na, nb) if len(na) <= len(nb) else (o * width, da * db, nb, na))
     d = lcm(*[dk for _, dk, _, _ in conv])
-    return d, [(o, na if dk == d else [x * (d // dk) for x in na], nb) for o, dk, na, nb in conv]
-
-
-def _product_size(a, b, limit) -> int:
-    """How many coefficients mul_vec(a, b, limit) returns."""
-    if not a or not b:
-        return 0
-    size = len(a) + len(b) - 1
-    return size if limit is None or limit >= size else max(limit, 0)
+    return d, conv if d == 1 else [(o, d // dk, na, nb) for o, dk, na, nb in conv]
 
 
 def echelon_insert(field, pivots, row) -> int:
@@ -128,6 +132,7 @@ class Ring:
 
     is_field = False
     name = "?"
+    width = 1  # ints per coefficient of a packed vector
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -150,46 +155,57 @@ class Ring:
     def is_unit(self, a) -> bool:
         return not self.residue_field.is_zero(self.residue(a))
 
-    def mul_vec(self, a, b, limit=None) -> list:
-        """The first `limit` coefficients (all when None) of the product of
-        two coefficient sequences indexed by exponent."""
-        size = _product_size(a, b, limit)
-        add, mul, is_zero = self.add, self.mul, self.is_zero
-        out = [self.zero] * size
-        for i, ai in enumerate(a[:size]):
-            if is_zero(ai):
-                continue
-            for j, bj in enumerate(b[: size - i], i):
-                out[j] = add(out[j], mul(ai, bj))
-        return out
+    # -- packed vectors (see the module docstring) --------------------------
 
-    def dot_vec(self, terms, size: int) -> list:
-        """The first `size` coefficients of the sum of t^offset * a * b over
-        the (offset, a, b) terms, offset >= 0: one mul_vec per term and at
-        most one add per coefficient of it, since a slot that is still a
-        falsy zero takes the product coefficient without an add."""
-        add = self.add
-        out = [self.zero] * size
-        for offset, a, b in terms:
-            for j, c in enumerate(self.mul_vec(a, b, size - offset), offset):
-                o = out[j]
-                out[j] = add(o, c) if o else c
-        return out
+    def at(self, vec, i):
+        """The scalar at index i >= 0 of a packed vector, zero past its end."""
+        (d, ints), w = self.split(vec), self.width
+        return (self.values(d, ints[i * w : i * w + w]) or [self.zero])[0]
 
-    def inv_vec(self, a, length: int) -> list:
-        """The first `length` coefficients of 1/a; a[0] must be a unit."""
-        add, mul = self.add, self.mul
-        c0 = self.inv(a[0])
-        terms = [(i, ai) for i, ai in enumerate(a[1:length], 1) if not self.is_zero(ai)]
-        out = [c0]
+    def neg_vec(self, vec):
+        d, ints = self.split(vec)
+        return self.close(d, [-c for c in ints])[1]
+
+    def dot_vec(self, terms, size: int) -> tuple:
+        """close() of the first `size` coefficients of the sum of
+        t^offset * a * b over the (offset, a, b) terms, a and b packed: one
+        integer convolution, the body of QQ and GF(p)."""
+        d, conv = _one_denominator(self.split, terms, size, 1)
+        out = [0] * size
+        for offset, f, na, nb in conv:
+            for i, ai in enumerate(na, offset):
+                if ai:
+                    ai *= f
+                    for j, bj in enumerate(nb[: size - i], i):
+                        out[j] += ai * bj
+        return self.close(d, out)
+
+    def inv_vec(self, vec, length: int) -> tuple:
+        """close() of the first `length` coefficients of 1/a, a packed with a
+        nonzero leading coefficient.  In ints 1/a = d/N, and 1/N has the
+        coefficient c_k / a0^(k+1) at t^k: c_0 = 1 and c_k = -sum_i N[i]
+        a0^(i-1) c_(k-i).  Over GF(p) each c_k and power of a0 is reduced."""
+        p, (d, na) = self.characteristic, self.split(vec)
+        if not na or not na[0]:
+            raise NonUnitLeading(f"division by zero in {self.name}")
+        a0, terms, power = na[0], [], 1
+        for i, ai in enumerate(na[1:length], 1):
+            if ai:
+                terms.append((i, ai * power))
+            power = power * a0 % p if p else power * a0
+        cs = [1]
         for k in range(1, length):
-            acc = self.zero
-            for i, ai in terms:
+            acc = 0
+            for i, x in terms:
                 if i > k:
                     break
-                acc = add(acc, mul(ai, out[k - i]))
-            out.append(self.neg(mul(c0, acc)))
-        return out
+                acc -= x * cs[k - i]
+            cs.append(acc % p if p else acc)
+        power = d  # then d * c_k * a0^(length-1-k) over the one denominator a0^length
+        for k in range(length - 1, -1, -1):
+            cs[k] *= power
+            power = power * a0 % p if p else power * a0
+        return self.close(power // d, cs)
 
     def require_same(self, other: "Ring") -> None:
         if self != other:
@@ -242,56 +258,23 @@ class RationalField(Ring):
             raise NonUnitLeading("division by zero in QQ")
         return 1 / a
 
-    # The series kernels run on integer numerators over one common
-    # denominator, so the inner loops do no gcd work and each output
-    # coefficient is one Fraction; Fraction values are canonical, so the
-    # outputs equal those of the generic kernels.
+    @staticmethod
+    def split(vec) -> tuple:
+        return vec
 
-    def mul_vec(self, a, b, limit=None) -> list:
-        return self.dot_vec(((0, a, b),), _product_size(a, b, limit))
+    @staticmethod
+    def close(d, ints, width=1) -> tuple:
+        lo, ints = _strip(ints, width)
+        g = gcd(d, *ints) if d > 0 else -gcd(d, *ints)
+        return lo, ((d // g, tuple([c // g for c in ints])) if g != 1 else (d, ints))
 
-    def dot_vec(self, terms, size: int) -> list:
-        d, conv = _common_denominator(
-            _integer_numerators, [(o, a[: size - o], b[: size - o]) for o, a, b in terms if o < size]
-        )
-        out = [0] * size
-        for offset, na, nb in conv:
-            for i, ai in enumerate(na, offset):
-                if not ai:
-                    continue
-                for j, bj in enumerate(nb[: size - i], i):
-                    out[j] += ai * bj
-        return self.from_ints(out, d)
+    @staticmethod
+    def numerators(values) -> tuple:
+        ratios = [x.as_integer_ratio() for x in values]
+        d = lcm(*[q for _, q in ratios])
+        return d, [n * (d // q) for n, q in ratios]
 
-    def inv_vec(self, a, length: int) -> list:
-        # 1/a = da / N with N = da * a, and 1/N = sum_k c_k t^k / a0^(k+1)
-        # where a0 = N[0] and c_k = -sum_i N[i] a0^(i-1) c_(k-i), all ints.
-        if a[0] == 0:
-            raise NonUnitLeading("division by zero in QQ")
-        da, na = _integer_numerators(a[: max(length, 1)])
-        a0 = na[0]
-        terms, p = [], 1
-        for i, ai in enumerate(na[1:], 1):
-            if ai:
-                terms.append((i, ai * p))
-            p *= a0
-        cs = [1]
-        for k in range(1, length):
-            acc = 0
-            for i, wi in terms:
-                if i > k:
-                    break
-                acc += wi * cs[k - i]
-            cs.append(-acc)
-        out, p = [], a0
-        for c in cs:
-            out.append(Fraction(da * c, p))
-            p *= a0
-        return out
-
-    to_ints = staticmethod(_integer_numerators)
-
-    def from_ints(self, ints, d) -> list:
+    def values(self, d, ints) -> list:
         zero = self.zero
         return [Fraction(c, d) if c else zero for c in ints]
 
@@ -359,12 +342,24 @@ class PrimeField(Ring):
         return pow(a, self.p - 2, self.p)
 
     @staticmethod
-    def to_ints(cs) -> tuple:
-        return 1, cs
+    def split(vec) -> tuple:
+        return 1, vec
 
-    def from_ints(self, ints, d) -> list:
-        p = self.p
-        return [c % p for c in ints]
+    def close(self, d, ints, width=1) -> tuple:
+        p, r = self.p, 1 if d == 1 else pow(d, -1, self.p)  # r = 1 for every sum of products
+        return _strip([c * r % p for c in ints] if r != 1 else [c % p for c in ints], width)
+
+    @staticmethod
+    def numerators(values) -> tuple:
+        return 1, list(values)
+
+    @staticmethod
+    def values(d, ints) -> list:
+        return list(ints)
+
+    @staticmethod
+    def at(vec, i):  # indexes the tuple: section counting reads every entry this way
+        return vec[i] if i < len(vec) else 0
 
     def parse(self, s: str) -> int:
         return self.of(QQ.parse(s))
@@ -397,7 +392,8 @@ class ArtinianRing(Ring):
                 f"nilpotency order must be an int in [1, {MAX_PRECISION}], got {m!r}"
             )
         self.base = base
-        self.m = m
+        self.m = self.width = m
+        self.split = base.split  # a packed vector is the base's, flattened
         self.name = f"{base.name}[x]/(x^{m})"
         self.key = ("artinian", base, m)
         self.characteristic = base.characteristic
@@ -439,55 +435,71 @@ class ArtinianRing(Ring):
 
     def add(self, a, b):
         badd = self.base.add
-        return tuple(badd(x, y) for x, y in zip(a, b))
+        return tuple([badd(x, y) for x, y in zip(a, b)])
 
     def neg(self, a):
         bneg = self.base.neg
-        return tuple(bneg(x) for x in a)
+        return tuple([bneg(x) for x in a])
 
     def mul(self, a, b):
-        return tuple(self.base.mul_vec(a, b, self.m))
+        return self.at(self.dot_vec([(0, self._pack(a), self._pack(b))], 1)[1], 0)
 
-    def mul_vec(self, a, b, limit=None) -> list:
-        return self.dot_vec(((0, a, b),), _product_size(a, b, limit))
+    def close(self, d, ints) -> tuple:
+        return self.base.close(d, ints, self.m)
 
-    def dot_vec(self, terms, size: int) -> list:
+    def numerators(self, values) -> tuple:
+        return self.base.numerators(list(chain.from_iterable(values)))
+
+    def values(self, d, ints) -> list:
+        flat = iter(self.base.values(d, ints))
+        return list(zip(*[flat] * self.m))
+
+    def _pack(self, a):  # the packed vector of the one coefficient a
+        return self.close(*self.numerators((a,)))[1]
+
+    def dot_vec(self, terms, size: int) -> tuple:
         # A series over k[x]/(x^m) is a polynomial in t and x, so a sum of
         # products is one integer convolution.  Flattened, the coefficient of
         # t^i x^u sits at i*m + u, so a term of a at p and one of b at k meet
         # at offset*m + p + k.  A pair is skipped when its x-degree would
         # reach m, so no product of x-degree m or more is formed; a run over b
         # stops at the t-cut.
-        m, base = self.m, self.base
-        d, conv = _common_denominator(
-            base.to_ints,
-            [
-                (o * m, list(chain.from_iterable(a[: size - o])), list(chain.from_iterable(b[: size - o])))
-                for o, a, b in terms
-                if o < size
-            ],
-        )
+        m = self.m
+        d, conv = _one_denominator(self.split, terms, size, m)
         end = size * m
         out = [0] * end
-        for offset, na, nb in conv:
+        for offset, f, na, nb in conv:
             runs = [(k, e, k % m) for k, e in enumerate(nb) if e]
             for p, c in enumerate(na):
                 if not c:
                     continue
+                c *= f
                 last, cut = end - offset - p, m - p % m
                 for k, e, v in runs:
                     if k >= last:
                         break
                     if v < cut:
                         out[offset + p + k] += c * e
-        values = iter(base.from_ints(out, d))
-        return list(zip(*[values] * m))
+        return self.close(d, out)
 
     def inv(self, a):
         # Power-series reciprocal truncated at x^m; needs a unit residue.
         if not self.is_unit(a):
             raise NonUnitLeading(f"constant term is not a unit in {self.name}")
-        return tuple(self.base.inv_vec(a, self.m))
+        return self.at(self.inv_vec(self._pack(a), 1)[1], 0)
+
+    def inv_vec(self, vec, length: int) -> tuple:
+        # Newton's step b <- b * (2 - a*b) doubles the known coefficients of
+        # b = 1/a from 1/a[0], the base kernel's reciprocal of the first m
+        # ints; no denominator compounds, as each step is normalized
+        c0 = self.split(self.base.inv_vec(vec, self.m)[1])
+        b = self.close(c0[0], list(c0[1]) + [0] * (self.m - len(c0[1])))[1]
+        two, n = self._pack(self.add(self.one, self.one)), 1
+        while n < length:
+            n = min(2 * n, length)
+            ab = self.dot_vec([(0, vec, b)], n)[1]
+            b = self.dot_vec([(0, b, two), (0, self.neg_vec(b), ab)], n)[1]
+        return 0, b
 
     def scalar_str(self, a) -> str:
         base = self.base

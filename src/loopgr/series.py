@@ -1,11 +1,11 @@
 """Truncated formal power/Laurent series and exact rational functions.
 
 The central object is :class:`LaurentSeries`.  A value is stored as a shift
-(the exponent of the first listed coefficient), a tuple of exact backend
-coefficients, and the end of the *known window*: every coefficient at an
-exponent below ``known_end`` is known exactly, everything at or above it is
-unknown.  ``known_end is None`` means the series terminates, i.e. it is an
-exact Laurent polynomial.  Operations report coefficients only on the window
+(the exponent of the first listed coefficient), the backend's packed vector
+of the listed coefficients, and the end of the *known window*: every
+coefficient at an exponent below ``known_end`` is known exactly, everything
+at or above it is unknown.  ``known_end is None`` means the series
+terminates, i.e. it is an exact Laurent polynomial.  Operations report coefficients only on the window
 that is provably correct given the input windows; exactness is preserved
 whenever the operation is exact (sums, products, monomial inversion, exact
 polynomial division).
@@ -57,7 +57,8 @@ def poly_neg(ring, a):
 
 
 def poly_mul(ring, a, b):
-    return poly_trim(ring, ring.mul_vec(a, b))
+    p = _dot(((LaurentSeries.make(ring, 0, a, None), LaurentSeries.make(ring, 0, b, None)),))
+    return (ring.zero,) * p.shift + p.coeffs
 
 
 def poly_scale(ring, c, a):
@@ -119,36 +120,28 @@ def poly_shift_var(ring, p, r):
 class LaurentSeries:
     """A Laurent series over an exact backend with a tracked known window.
 
-    Canonical form: ``coeffs`` is empty or starts and ends with a nonzero
-    coefficient; coefficients between the listed ones are zero.  When
-    ``known_end`` is an int, the series equals the listed part plus
-    O(t^known_end); when it is None the listed part is the whole series.
+    Canonical form: ``vec``, the backend's packed vector (``loopgr.rings``),
+    has no zero coefficient at either end, and a series with none has shift
+    ``known_end`` (0 when exact).  When ``known_end`` is an int, the series
+    equals the listed part plus O(t^known_end); when it is None the listed
+    part is the whole series.  ``coeffs`` builds the listed scalars anew on
+    each read.
     """
 
-    __slots__ = ("ring", "shift", "coeffs", "known_end")
+    __slots__ = ("ring", "shift", "vec", "known_end")
 
-    def __init__(self, ring, shift, coeffs, known_end):
+    def __init__(self, ring, shift, vec, known_end):
         self.ring = ring
         self.shift = shift
-        self.coeffs = coeffs
+        self.vec = vec
         self.known_end = known_end
 
     @classmethod
     def make(cls, ring: Ring, shift: int, coeffs, known_end: int | None) -> "LaurentSeries":
-        """Canonicalize ring elements: clip to the window, trim zeros on both ends."""
-        cs = coeffs
-        if known_end is not None and shift + len(cs) > known_end:
-            cs = cs[: max(0, known_end - shift)]
-        lo = 0
-        while lo < len(cs) and ring.is_zero(cs[lo]):
-            lo += 1
-        hi = len(cs)
-        while hi > lo and ring.is_zero(cs[hi - 1]):
-            hi -= 1
-        cs = cs[lo:hi]
-        if not cs:
-            return cls(ring, known_end if known_end is not None else 0, (), known_end)
-        return cls(ring, shift + lo, tuple(cs), known_end)
+        """Pack ring elements: clip to the window, trim zeros on both ends."""
+        if known_end is not None and shift + len(coeffs) > known_end:
+            coeffs = coeffs[: max(0, known_end - shift)]
+        return _series(ring, shift, ring.close(*ring.numerators(coeffs)), known_end)
 
     # -- constructors ------------------------------------------------------
 
@@ -182,7 +175,11 @@ class LaurentSeries:
     def t_power(cls, ring, k: int) -> "LaurentSeries":
         return cls.make(ring, k, (ring.one,), None)
 
-    # -- basic state -------------------------------------------------------
+    # -- basic state: read from the packed vector, never from coeffs -------
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self.ring.values(*self.ring.split(self.vec)))
 
     @property
     def is_exact(self) -> bool:
@@ -190,71 +187,54 @@ class LaurentSeries:
 
     @property
     def is_exact_zero(self) -> bool:
-        return not self.coeffs and self.known_end is None
+        return self.known_end is None and not self.ring.split(self.vec)[1]
 
     @property
     def is_zero_to_precision(self) -> bool:
-        return not self.coeffs
+        return not self.ring.split(self.vec)[1]
+
+    def has_unit_lead(self) -> bool:
+        """A first listed coefficient exists, and its residue is nonzero."""
+        ints = self.ring.split(self.vec)[1]
+        return bool(ints) and bool(ints[0])
 
     @property
     def valuation(self) -> int | None:
         """Least exponent carrying a nonzero coefficient, None if unknown
         (zero on the whole known window)."""
-        return self.shift if self.coeffs else None
+        return None if self.is_zero_to_precision else self.shift
 
     def valuation_lower_bound(self) -> int | None:
         """Certified lower bound for the valuation; None means +infinity
         (the series is exactly zero)."""
-        if self.coeffs:
-            return self.shift
-        return self.known_end
+        return self.known_end if self.is_zero_to_precision else self.shift
 
     def coefficient(self, e: int):
         """The coefficient at exponent e; raises if e is outside the
         known window."""
         if self.known_end is not None and e >= self.known_end:
-            window = self.known_end - self.shift if self.coeffs else 0
+            window = 0 if self.is_zero_to_precision else self.known_end - self.shift
             raise InsufficientPrecision(
                 f"coefficient at t^{e} is beyond the known window (< t^{self.known_end})",
                 max(window, DEFAULT_PRECISION),
             )
         i = e - self.shift
-        if self.coeffs and 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.ring.zero
+        return self.ring.at(self.vec, i) if i >= 0 else self.ring.zero
 
     def window_length(self) -> int | None:
         """Length of the known window measured from the valuation."""
-        if self.known_end is None or not self.coeffs:
+        if self.known_end is None or self.is_zero_to_precision:
             return None
         return self.known_end - self.shift
 
     # -- arithmetic --------------------------------------------------------
 
     def add(self, other: "LaurentSeries") -> "LaurentSeries":
-        self.ring.require_same(other.ring)
-        ring = self.ring
-        end = _min_end(self.known_end, other.known_end)
-        if not self.coeffs and not other.coeffs:
-            return LaurentSeries.make(ring, 0, (), end)
-        if not self.coeffs:
-            return LaurentSeries.make(ring, other.shift, other.coeffs, end)
-        if not other.coeffs:
-            return LaurentSeries.make(ring, self.shift, self.coeffs, end)
-        lo = min(self.shift, other.shift)
-        hi = max(self.shift + len(self.coeffs), other.shift + len(other.coeffs))
-        out = [ring.zero] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.shift - lo + i] = c
-        for i, c in enumerate(other.coeffs):
-            j = other.shift - lo + i
-            out[j] = ring.add(out[j], c)
-        return LaurentSeries.make(ring, lo, out, end)
+        one = LaurentSeries.one(self.ring)
+        return _dot(((self, one), (other, one)))
 
     def neg(self) -> "LaurentSeries":
-        return LaurentSeries(
-            self.ring, self.shift, tuple(self.ring.neg(c) for c in self.coeffs), self.known_end
-        )
+        return LaurentSeries(self.ring, self.shift, self.ring.neg_vec(self.vec), self.known_end)
 
     def sub(self, other: "LaurentSeries") -> "LaurentSeries":
         return self.add(other.neg())
@@ -273,48 +253,43 @@ class LaurentSeries:
         )
 
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
-        self.ring.require_same(other.ring)
-        ring = self.ring
-        if self.is_exact_zero or other.is_exact_zero:
-            return LaurentSeries.make(ring, 0, (), None)
-        end = self.product_end(other)
-        if not self.coeffs or not other.coeffs:
-            return LaurentSeries.make(ring, 0, (), end)
-        shift = self.shift + other.shift
-        limit = None if end is None else end - shift
-        return LaurentSeries.make(ring, shift, ring.mul_vec(self.coeffs, other.coeffs, limit), end)
+        return _dot(((self, other),))
 
     @staticmethod
     def dot(pairs) -> "LaurentSeries":
         """The sum of a * b over a non-empty sequence of (a, b) pairs, value
         and window as the left fold of mul and add gives it: the window ends
         at the least product_end of the pairs, and a pair with an exactly
-        zero operand adds nothing, not even a window."""
+        zero operand adds nothing, not even a window.  mul and add run this
+        body too, as _dot."""
         ring = pairs[0][0].ring
-        end, terms = None, []
+        split, width = ring.split, ring.width
+        end, terms, lo, hi = None, [], None, None
         for a, b in pairs:
             ring.require_same(a.ring)
             ring.require_same(b.ring)
-            if a.is_exact_zero or b.is_exact_zero:
+            na, nb = split(a.vec)[1], split(b.vec)[1]
+            # product_end, inline: va and vb are the valuation lower bounds
+            va, vb = a.shift if na else a.known_end, b.shift if nb else b.known_end
+            if va is None or vb is None:  # an exactly zero operand
                 continue
-            end = _min_end(end, a.product_end(b))
-            if a.coeffs and b.coeffs:
-                terms.append((a.shift + b.shift, a.coeffs, b.coeffs))
+            ea, eb = a.known_end, b.known_end
+            end = _min_end(end, None if ea is None else ea + vb, None if eb is None else eb + va)
+            if na and nb:
+                s, top = a.shift + b.shift, a.shift + b.shift + (len(na) + len(nb)) // width - 1
+                terms.append((s, a.vec, b.vec))
+                lo, hi = (s, top) if lo is None else (min(lo, s), max(hi, top))
         if not terms:
             return LaurentSeries.make(ring, 0, (), end)
-        lo = min(s for s, _, _ in terms)
-        hi = max(s + len(a) + len(b) - 1 for s, a, b in terms)
-        if end is not None:
-            hi = max(min(hi, end), lo)
-        vec = ring.dot_vec([(s - lo, a, b) for s, a, b in terms], hi - lo)
-        return LaurentSeries.make(ring, lo, vec, end)
+        hi = hi if end is None else max(min(hi, end), lo)
+        return _series(ring, lo, ring.dot_vec([(s - lo, a, b) for s, a, b in terms], hi - lo), end)
 
     def shifted(self, k: int) -> "LaurentSeries":
         """Multiplication by t^k, always exact."""
-        return LaurentSeries(
+        return _series(
             self.ring,
             self.shift + k,
-            self.coeffs,
+            (None if self.is_zero_to_precision else 0, self.vec),
             None if self.known_end is None else self.known_end + k,
         )
 
@@ -324,53 +299,57 @@ class LaurentSeries:
         `precision` (default 16; at least 1)."""
         if precision is not None and precision < 1:
             raise DomainError(f"working precision must be at least 1, got {precision}")
-        ring = self.ring
-        if not self.coeffs:
-            raise ZeroToPrecision(
-                "cannot invert a series that is zero on its known window"
-            )
-        if not ring.is_unit(self.coeffs[0]):
+        ring, ints = self.ring, self.ring.split(self.vec)[1]
+        if not ints:
+            raise ZeroToPrecision("cannot invert a series that is zero on its known window")
+        if not ints[0]:
             raise NonUnitLeading("leading coefficient is not a unit")
         v = self.shift
-        if len(self.coeffs) == 1 and self.is_exact:
-            return LaurentSeries.make(ring, -v, (ring.inv(self.coeffs[0]),), None)
+        if len(ints) == ring.width and self.is_exact:
+            return _series(ring, -v, ring.inv_vec(self.vec, 1), None)
         length = self.window_length()
         if length is None:
             length = precision if precision is not None else DEFAULT_PRECISION
-        return LaurentSeries.make(ring, -v, ring.inv_vec(self.coeffs, length), -v + length)
+        return _series(ring, -v, ring.inv_vec(self.vec, length), -v + length)
 
     def div(self, other: "LaurentSeries", precision: int | None = None) -> "LaurentSeries":
         """self / other.  When both operands are exact and the division is
         exact in the Laurent polynomial ring, the quotient stays exact."""
-        if self.is_exact and other.is_exact and other.coeffs:
+        if self.is_exact and other.is_exact and not other.is_zero_to_precision:
             if self.is_exact_zero:
                 return LaurentSeries.make(self.ring, 0, (), None)
-            if self.ring.is_unit(other.coeffs[-1]):
-                q, r = poly_divmod(self.ring, self.coeffs, other.coeffs)
+            den = other.coeffs
+            if self.ring.is_unit(den[-1]):
+                q, r = poly_divmod(self.ring, self.coeffs, den)
                 if not r:
-                    return LaurentSeries.make(
-                        self.ring, self.shift - other.shift, q, None
-                    )
+                    return LaurentSeries.make(self.ring, self.shift - other.shift, q, None)
         return self.mul(other.invert(precision))
 
     def truncated(self, known_end: int) -> "LaurentSeries":
         """Forget coefficients at exponents >= known_end."""
         end = _min_end(self.known_end, known_end)
-        return LaurentSeries.make(self.ring, self.shift, self.coeffs, end)
+        d, ints = self.ring.split(self.vec)
+        cut = None if end is None else max(0, end - self.shift) * self.ring.width
+        return _series(self.ring, self.shift, self.ring.close(d, ints[:cut]), end)
 
     def map_coefficients(self, fn, ring: Ring) -> "LaurentSeries":
         """Apply fn to every known coefficient, landing in `ring` (used for
-        constant lifts and residue reductions)."""
-        return LaurentSeries.make(
-            ring, self.shift, [ring.of(fn(c)) for c in self.coeffs], self.known_end
-        )
+        constant lifts and residue reductions, which move packed ints)."""
+        src, (d, ints) = self.ring, self.ring.split(self.vec)
+        if fn == src.residue and ring == src.residue_field:
+            closed = ring.close(d, ints[:: src.width])
+        elif fn == getattr(ring, "from_base", None) and src == ring.residue_field:
+            closed = ring.close(d, [x for c in ints for x in (c,) + (0,) * (ring.width - 1)])
+        else:
+            return LaurentSeries.make(ring, self.shift, [ring.of(fn(c)) for c in self.coeffs], self.known_end)
+        return _series(ring, self.shift, closed, self.known_end)
 
     # -- comparisons -------------------------------------------------------
 
     def agrees_with(self, other: "LaurentSeries") -> bool:
         """Equality of all coefficients on the overlap of the known windows:
         the difference, clipped to the smaller window, has no nonzero term."""
-        return not self.sub(other).coeffs
+        return self.sub(other).is_zero_to_precision
 
     def __eq__(self, other):
         return (
@@ -378,11 +357,11 @@ class LaurentSeries:
             and self.ring == other.ring
             and self.shift == other.shift
             and self.known_end == other.known_end
-            and self.coeffs == other.coeffs
+            and self.vec == other.vec
         )
 
     def __hash__(self):
-        return hash((self.ring, self.shift, self.coeffs, self.known_end))
+        return hash((self.ring, self.shift, self.vec, self.known_end))
 
     def __repr__(self):
         """Terms in increasing degree; a coefficient that prints as more than
@@ -397,6 +376,16 @@ class LaurentSeries:
             return body
         tail = f"O(t^{self.known_end})"
         return f"{body} + {tail}" if terms else tail
+
+
+_dot = LaurentSeries.dot
+
+
+def _series(ring, shift, closed, known_end) -> LaurentSeries:
+    """t^shift * vec + O(t^known_end) from close()'s (lo, vec), lo the zero
+    coefficients cut at the front (None: all)."""
+    lo, vec = closed
+    return LaurentSeries(ring, (known_end or 0) if lo is None else shift + lo, vec, known_end)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from loopgr import QQ, LaurentSeries, LoopMatrix, PrimeField
+from loopgr import QQ, ArtinianRing, LaurentSeries, LoopMatrix, PrimeField
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +75,62 @@ class PolyModel:
 def model_of(s: LaurentSeries) -> PolyModel:
     terms = {s.shift + i: c for i, c in enumerate(s.coeffs)}
     return PolyModel(s.ring, terms, s.known_end)
+
+
+# ---------------------------------------------------------------------------
+# the generic series kernels, one scalar product and sum per pair of
+# coefficients: the oracles of the packed integer kernels.  Over k[x]/(x^m)
+# they multiply and invert with base-field operations only, so they run no
+# packed kernel themselves.
+
+
+def _scalar_ops(ring):
+    """(mul, inv) of ring from field scalar operations only."""
+    if not isinstance(ring, ArtinianRing):
+        return ring.mul, ring.inv
+    base, m = ring.base, ring.m
+
+    def mul(a, b):
+        out = [base.zero] * m
+        for i, x in enumerate(a):
+            for j in range(m - i):
+                out[i + j] = base.add(out[i + j], base.mul(x, b[j]))
+        return tuple(out)
+
+    return mul, lambda a: tuple(inv_oracle(base, a, m))
+
+
+def mul_oracle(ring, a, b, size):
+    """The first `size` coefficients of the product of scalar sequences."""
+    mul, _ = _scalar_ops(ring)
+    out = [ring.zero] * size
+    for i, x in enumerate(a[:size]):
+        for j, y in enumerate(b[: size - i], i):
+            out[j] = ring.add(out[j], mul(x, y))
+    return out
+
+
+def dot_oracle(ring, terms, size):
+    """The first `size` coefficients of the sum of t^offset * a * b over the
+    (offset, a, b) terms of scalar sequences."""
+    out = [ring.zero] * size
+    for offset, a, b in terms:
+        for j, c in enumerate(mul_oracle(ring, a, b, max(size - offset, 0)), offset):
+            out[j] = ring.add(out[j], c)
+    return out
+
+
+def inv_oracle(ring, a, length):
+    """The first `length` coefficients of 1/a; a[0] must be a unit."""
+    mul, inv = _scalar_ops(ring)
+    c0 = inv(a[0])
+    out = [c0]
+    for k in range(1, length):
+        acc = ring.zero
+        for i in range(1, min(k, len(a) - 1) + 1):
+            acc = ring.add(acc, mul(a[i], out[k - i]))
+        out.append(ring.neg(mul(c0, acc)))
+    return out[:length]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import pytest
 
 from loopgr import QQ, ArtinianRing, LaurentSeries, PrimeField
 from loopgr.errors import BackendMismatch, DomainError, NonUnitLeading
-from loopgr.rings import RationalField, Ring
+from loopgr.rings import RationalField
 
-from conftest import PolyModel
+from conftest import PolyModel, dot_oracle, inv_oracle, mul_oracle
 
 
 def test_rational_parse_and_str():
@@ -128,8 +128,63 @@ def test_artinian_arithmetic_against_model(base):
             assert A.eq(A.mul(u, A.inv(u)), A.one)
 
 
-# QQ overrides the two series kernels with integer-numerator versions; the
-# generic Ring kernels are their oracle.
+# The packed kernels take and return packed vectors; the generic kernels in
+# conftest, one scalar product and sum per pair of coefficients, are their
+# oracles.  A term's operands are packed from scalars, the zeros that close()
+# cuts from their fronts moved into its offset, and the kernel's (lo, vec) is
+# read back as `size` scalars.
+
+
+def _packed(ring, values):
+    return ring.close(*ring.numerators(values))
+
+
+def _scalars(ring, closed, size):
+    """The first `size` scalars of a kernel's (lo, vec), its cut zeros put back."""
+    lo, vec = closed
+    _check_canonical(ring, closed)
+    cs = [ring.zero] * (lo or 0) + ring.values(*ring.split(vec))
+    assert len(cs) <= size
+    return cs + [ring.zero] * (size - len(cs))
+
+
+def _check_canonical(ring, closed):
+    """A kernel's (lo, vec) is what close() makes of its own scalars: the
+    one packed form, in ints of the backend's range."""
+    lo, vec = closed
+    assert _packed(ring, ring.values(*ring.split(vec))) == (None if lo is None else 0, vec)
+    d, ints = ring.split(vec)
+    assert type(d) is int and d > 0 and all(type(c) is int for c in ints)
+    base = ring.base if isinstance(ring, ArtinianRing) else ring
+    assert isinstance(vec, tuple) and (base is QQ or (d == 1 and all(0 <= c < base.p for c in vec)))
+
+
+def _kernel_dot(ring, terms, size):
+    packed = []
+    for offset, a, b in terms:
+        (la, va), (lb, vb) = _packed(ring, a), _packed(ring, b)
+        if la is not None and lb is not None:
+            packed.append((offset + la + lb, va, vb))
+    return _scalars(ring, ring.dot_vec(packed, size), size)
+
+
+def _product_size(a, b, limit):
+    if not a or not b:
+        return 0
+    size = len(a) + len(b) - 1
+    return size if limit is None or limit >= size else max(limit, 0)
+
+
+def _check_mul(ring, a, b, limit):
+    size = _product_size(a, b, limit)
+    assert _kernel_dot(ring, [(0, a, b)], size) == mul_oracle(ring, a, b, size)
+
+
+def _check_inv(ring, a, length):
+    lo, vec = _packed(ring, a)
+    assert lo == 0
+    got = _scalars(ring, ring.inv_vec(vec, length), length)
+    assert got == inv_oracle(ring, list(a), length)
 
 
 def _rational(rng, bits):
@@ -141,18 +196,6 @@ def _qq_vector(rng, length):
     return [_rational(rng, bits) if rng.random() < 0.7 else QQ.zero for _ in range(length)]
 
 
-def _check_qq_mul(a, b, limit):
-    got = QQ.mul_vec(a, b, limit)
-    assert got == Ring.mul_vec(QQ, a, b, limit)
-    assert all(type(c) is Fraction for c in got)
-
-
-def _check_qq_inv(a, length):
-    got = QQ.inv_vec(a, length)
-    assert got == Ring.inv_vec(QQ, a, length)
-    assert all(type(c) is Fraction for c in got)
-
-
 def test_qq_kernels_match_generic_kernels():
     rng = random.Random("qq-kernels")
     for length in range(1, 26):
@@ -162,19 +205,19 @@ def test_qq_kernels_match_generic_kernels():
                 a[0] = b[0] = QQ.zero
             full = len(a) + len(b) - 1
             for limit in (None, 0, -3, 1, full // 2, full - 1, full, full + 5):
-                _check_qq_mul(a, b, limit)
+                _check_mul(QQ, a, b, limit)
             a[0] = _rational(rng, 100) or QQ.one
             if trial == 2:
                 a[0] = -abs(a[0])
-            for n in (0, 1, length // 2, length, length + 3):
-                _check_qq_inv(a, n)
-    _check_qq_mul([QQ.zero] * 3, [QQ.one, QQ.zero], None)
-    assert QQ.mul_vec([], [QQ.one]) == QQ.mul_vec([QQ.one], []) == []
+            for n in (1, length // 2 + 1, length, length + 3):
+                _check_inv(QQ, a, n)
+    _check_mul(QQ, [QQ.zero] * 3, [QQ.one, QQ.zero], None)
+    assert QQ.dot_vec([(0, QQ.close(1, [])[1], _packed(QQ, [QQ.one])[1])], 2) == (None, (1, ()))
 
 
 def test_qq_inverse_kernel_needs_a_unit():
     with pytest.raises(NonUnitLeading, match="division by zero in QQ"):
-        QQ.inv_vec([QQ.zero, QQ.one], 4)
+        QQ.inv_vec(QQ.close(1, [])[1], 4)
 
 
 def test_qq_kernels_property():
@@ -186,21 +229,14 @@ def test_qq_kernels_property():
     limits = st.none() | st.integers(-3, 55)
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
-    @hypothesis.given(vectors, vectors, limits, st.integers(0, 30))
+    @hypothesis.given(vectors, vectors, limits, st.integers(1, 30))
     def check(a, b, limit, length):
-        _check_qq_mul(a, b, limit)
-        if a[0] == 0:
-            with pytest.raises(NonUnitLeading):
-                QQ.inv_vec(a, length)
-        else:
-            _check_qq_inv(a, length)
+        _check_mul(QQ, a, b, limit)
+        if a[0] != 0:
+            _check_inv(QQ, a, length)
 
     check()
 
-
-# ArtinianRing overrides mul_vec with one integer convolution in t and x; the
-# generic Ring kernel, one ArtinianRing.mul and .add per pair of coefficients,
-# is its oracle.
 
 _ART_BASES = [QQ, PrimeField(10007), PrimeField(2)]
 
@@ -228,20 +264,6 @@ def _art_vector(ring, rng, length):
     ]
 
 
-def _is_canonical(base, c):
-    if base is QQ:
-        return type(c) is Fraction
-    return type(c) is int and 0 <= c < base.p
-
-
-def _check_art_mul(ring, a, b, limit):
-    got = ring.mul_vec(a, b, limit)
-    assert got == Ring.mul_vec(ring, a, b, limit)
-    for c in got:
-        assert type(c) is tuple and len(c) == ring.m
-        assert all(_is_canonical(ring.base, x) for x in c)
-
-
 @pytest.mark.parametrize("base", _ART_BASES, ids=lambda r: r.name)
 def test_artinian_kernel_matches_generic_kernel(base):
     rng = random.Random(f"artinian-kernel:{base.name}")
@@ -253,10 +275,12 @@ def test_artinian_kernel_matches_generic_kernel(base):
                 a[0] = a[-1] = b[len(b) // 2] = ring.zero
             full = len(a) + len(b) - 1
             for limit in (None, 0, -3, 1, full // 2, full - 1, full, full + 5):
-                _check_art_mul(ring, a, b, limit)
-        _check_art_mul(ring, [ring.zero] * 3, [ring.one, ring.zero], None)
-        _check_art_mul(ring, [ring.gen()] * 2, [ring.gen()] * 3, None)
-        assert ring.mul_vec([], [ring.one]) == ring.mul_vec([ring.one], []) == []
+                _check_mul(ring, a, b, limit)
+            a[0] = ring.random_unit(rng)
+            for n in (1, length, length + 2):
+                _check_inv(ring, a, n)
+        _check_mul(ring, [ring.zero] * 3, [ring.one, ring.zero], None)
+        _check_mul(ring, [ring.gen()] * 2, [ring.gen()] * 3, None)
 
 
 def test_artinian_kernel_property():
@@ -277,7 +301,9 @@ def test_artinian_kernel_property():
         entry = st.lists(raw, min_size=ring.m, max_size=ring.m).map(ring.of)
         vectors = st.lists(entry | st.just(ring.zero), min_size=1, max_size=8)
         a, b = data.draw(vectors), data.draw(vectors)
-        _check_art_mul(ring, a, b, data.draw(st.none() | st.integers(-3, 30)))
+        _check_mul(ring, a, b, data.draw(st.none() | st.integers(-3, 30)))
+        if ring.is_unit(a[0]):
+            _check_inv(ring, a, data.draw(st.integers(1, 12)))
 
     check()
 
@@ -299,9 +325,8 @@ def test_artinian_series_product_runs_no_scalar_product(monkeypatch, ring):
     assert expected.matches(t.mul(s))
 
 
-# QQ and k[x]/(x^m) override dot_vec, the sum of shifted products, with one
-# integer pass over a common denominator; the generic Ring kernel, one
-# mul_vec and one add per term, is their oracle.  GF(p) runs the generic one.
+# dot_vec, the sum of shifted products, is one integer pass over one
+# denominator: QQ and GF(p) share its body, k[x]/(x^m) runs it flattened.
 
 _DOT_RINGS = [QQ, PrimeField(10007)] + [
     ArtinianRing(base, m) for base in (QQ, PrimeField(7)) for m in range(1, 5)
@@ -316,20 +341,12 @@ def _dot_vector(ring, rng, length):
     return [ring.random(rng) if rng.random() < 0.7 else ring.zero for _ in range(length)]
 
 
-def _is_canonical_value(ring, c):
-    if isinstance(ring, ArtinianRing):
-        return type(c) is tuple and len(c) == ring.m and all(_is_canonical(ring.base, x) for x in c)
-    return _is_canonical(ring, c)
-
-
 def _check_dot(ring, terms, size):
-    got = ring.dot_vec(terms, size)
-    assert got == Ring.dot_vec(ring, terms, size)
-    assert len(got) == size and all(_is_canonical_value(ring, c) for c in got)
+    got = _kernel_dot(ring, terms, size)
+    assert got == dot_oracle(ring, terms, size)
     if len(terms) == 1 and terms[0][0] == 0:
         _, a, b = terms[0]
-        product = ring.mul_vec(a, b, size)
-        assert got == product + [ring.zero] * (size - len(product))
+        assert got == mul_oracle(ring, a, b, size)
 
 
 @pytest.mark.parametrize("ring", _DOT_RINGS, ids=lambda r: r.name)
@@ -353,8 +370,8 @@ def test_dot_kernel_matches_generic_kernel(ring):
     a, b = _dot_vector(ring, rng, 5), _dot_vector(ring, rng, 4)
     terms = [(1, a, b), (1, [ring.neg(x) for x in a], b)]
     _check_dot(ring, terms, 9)
-    assert ring.dot_vec(terms, 9) == [ring.zero] * 9
-    assert ring.dot_vec([], 4) == [ring.zero] * 4
+    assert _kernel_dot(ring, terms, 9) == [ring.zero] * 9
+    assert ring.dot_vec([], 4) == _packed(ring, [])
 
 
 def test_dot_kernel_property():
@@ -379,6 +396,14 @@ def test_dot_kernel_property():
         _check_dot(ring, terms, data.draw(st.integers(0, 20)))
 
     check()
+
+
+@pytest.mark.parametrize("ring", [PrimeField(10007), ArtinianRing(PrimeField(7), 3)], ids=lambda r: r.name)
+def test_prime_field_kernels_reduce_to_canonical_ints(ring):
+    # sums of products past p, and a reciprocal over the denominator a0^size
+    big = [ring.of(-1)] * 40
+    _check_dot(ring, [(0, big, big), (3, big, big)], 60)
+    _check_inv(ring, [ring.of(3)] + big, 30)
 
 
 # ---------------------------------------------------------------------------

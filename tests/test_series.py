@@ -1,5 +1,6 @@
 """Series arithmetic against the exact-polynomial window oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,7 +24,15 @@ from loopgr.errors import (
     ZeroToPrecision,
 )
 
-from conftest import PolyModel, model_of, rand_exact_series, rand_truncated_series, rand_unit_series
+from conftest import (
+    PolyModel,
+    inv_oracle,
+    model_of,
+    mul_oracle,
+    rand_exact_series,
+    rand_truncated_series,
+    rand_unit_series,
+)
 
 
 def S(terms, prec=None):
@@ -302,6 +311,139 @@ def test_dot_property():
     def check(ring, data):
         pair = st.tuples(operands(ring), operands(ring))
         _check_dot(data.draw(st.lists(pair, min_size=1, max_size=6)))
+
+    check()
+
+
+# The packed kernels against the generic scalar kernels of conftest, at the
+# level of series: values and windows alike, for products, sums of products
+# and reciprocals.
+
+
+def _window_end(*ends):
+    finite = [e for e in ends if e is not None]
+    return min(finite) if finite else None
+
+
+def _oracle_mul(a, b):
+    ring = a.ring
+    if a.is_exact_zero or b.is_exact_zero:
+        return LaurentSeries.zero(ring)
+    ca, cb = a.coeffs, b.coeffs
+    va, vb = a.shift if ca else a.known_end, b.shift if cb else b.known_end
+    end = _window_end(
+        None if a.known_end is None else a.known_end + vb,
+        None if b.known_end is None else b.known_end + va,
+    )
+    shift, size = a.shift + b.shift, len(ca) + len(cb) - 1 if ca and cb else 0
+    if end is not None:
+        size = max(0, min(size, end - shift))
+    return LaurentSeries.make(ring, shift, mul_oracle(ring, ca, cb, size), end)
+
+
+def _oracle_dot(pairs):
+    ring = pairs[0][0].ring
+    terms, ends = {}, []
+    for a, b in pairs:
+        p = _oracle_mul(a, b)
+        ends.append(p.known_end)
+        for e, c in enumerate(p.coeffs, p.shift):
+            terms[e] = ring.add(terms.get(e, ring.zero), c)
+    end = _window_end(*ends)
+    if not terms:
+        return LaurentSeries.zero(ring, end)
+    lo = min(terms)
+    return LaurentSeries.make(ring, lo, [terms.get(e, ring.zero) for e in range(lo, max(terms) + 1)], end)
+
+
+def _oracle_invert(a, precision):
+    cs = a.coeffs
+    if len(cs) == 1 and a.is_exact:
+        length, end = 1, None
+    else:
+        length = a.known_end - a.shift if a.known_end is not None else precision
+        end = -a.shift + length
+    return LaurentSeries.make(a.ring, -a.shift, inv_oracle(a.ring, list(cs), length), end)
+
+
+def _same(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert (got.shift, got.coeffs, got.known_end) == (want.shift, want.coeffs, want.known_end)
+
+
+def _canonical(s):
+    """s has the one packed form: make from its scalars gives the same vector."""
+    remade = LaurentSeries.make(s.ring, s.shift, s.coeffs, s.known_end)
+    assert remade.vec == s.vec and remade == s and hash(remade) == hash(s)
+    d, ints = s.ring.split(s.vec)
+    base = s.ring.base if isinstance(s.ring, ArtinianRing) else s.ring
+    assert d > 0 and len(ints) % s.ring.width == 0
+    assert all(0 <= c < base.p for c in ints) if base is not QQ else math.gcd(d, *ints) == 1
+    if ints:  # no zero coefficient at either end
+        w = s.ring.width
+        assert any(ints[:w]) and any(ints[-w:])
+
+
+_PACKED_RINGS = [QQ, PrimeField(10007)] + [
+    ArtinianRing(base, m) for base in (QQ, PrimeField(7)) for m in range(1, 5)
+]
+
+
+def _series_strategy(st, ring):
+    """Exactly zero, zero only on its window, negative shifts, exact or
+    truncated windows."""
+    raw = st.builds(Fraction, st.integers(-50, 50), st.sampled_from((1, 2, 3, 4, 5, 6, 8, 9)))
+    if isinstance(ring, ArtinianRing):
+        scalars = st.lists(raw, min_size=ring.m, max_size=ring.m).map(ring.of)
+    else:
+        scalars = raw.map(ring.of)
+    terms = st.lists(st.tuples(st.integers(-4, 5), scalars), max_size=6)
+    return st.builds(lambda ts, end: LaurentSeries.from_terms(ring, ts, end), terms, st.none() | st.integers(-3, 8))
+
+
+def test_packed_kernels_match_scalar_oracles_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(_PACKED_RINGS), st.data())
+    def check(ring, data):
+        series = _series_strategy(st, ring)
+        pairs = data.draw(st.lists(st.tuples(series, series), min_size=1, max_size=5))
+        a, b = pairs[0]
+        _same(a.mul(b), _oracle_mul(a, b))
+        _same(LaurentSeries.dot(pairs), _oracle_dot(pairs))
+        # a pair whose product starts at the cut of another pair's window
+        far = LaurentSeries.t_power(ring, data.draw(st.integers(0, 6)))
+        cut = [(a.truncated(far.shift), LaurentSeries.one(ring)), (far, b)]
+        _same(LaurentSeries.dot(cut), _oracle_dot(cut))
+        if a.has_unit_lead():
+            precision = data.draw(st.integers(1, 12))
+            _same(a.invert(precision), _oracle_invert(a, precision))
+
+    check()
+
+
+def test_kernel_outputs_are_canonical_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(_PACKED_RINGS), st.data())
+    def check(ring, data):
+        series = _series_strategy(st, ring)
+        a, b, c = data.draw(series), data.draw(series), data.draw(series)
+        outputs = [a, a.mul(b), a.add(b), a.sub(a), a.neg(), LaurentSeries.dot([(a, b), (c, b)])]
+        outputs += [a.truncated(data.draw(st.integers(-4, 8))), a.shifted(3)]
+        if a.has_unit_lead():
+            outputs.append(a.invert(data.draw(st.integers(1, 12))))
+        if isinstance(ring, ArtinianRing):
+            outputs.append(a.map_coefficients(ring.residue, ring.base))
+        else:
+            lift = ArtinianRing(ring, 3)
+            outputs.append(a.map_coefficients(lift.from_base, lift))
+        for s in outputs:
+            _canonical(s)
 
     check()
 
