@@ -82,12 +82,12 @@ class Factorization:
 
     def map_coefficients(self, fn, ring: Ring) -> "Factorization":
         """fn applied to every coefficient of every parameter and of gamma, in `ring`."""
-        factors = tuple(
-            ElementaryFactor(f.position, f.parameter.map_coefficients(fn, ring))
-            for f in self.factors
-        )
-        gamma = self.gamma.map_coefficients(fn, ring) if self.gamma is not None else None
-        return Factorization(ring, factors, gamma)
+        return self.map_series(lambda s: s.map_coefficients(fn, ring), ring)
+
+    def map_series(self, fn, ring: Ring) -> "Factorization":
+        """fn, a map of series into `ring`, applied to every parameter and gamma entry."""
+        factors = tuple([ElementaryFactor(f.position, fn(f.parameter)) for f in self.factors])
+        return Factorization(ring, factors, None if self.gamma is None else self.gamma.map_series(fn))
 
     def __len__(self):
         return len(self.factors)
@@ -181,7 +181,7 @@ def lift_factorization(
     """Constant lift of every parameter to the Artinian base, optionally
     perturbed inside the maximal ideal; reduction recovers the input."""
     _artinian(target).base.require_same(fact.ring)
-    lifted = fact.map_coefficients(target.from_base, target)
+    lifted = fact.map_series(lambda s: s.lifted(target), target)
     if not perturbations:
         return lifted
     factors = list(lifted.factors)

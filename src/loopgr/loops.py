@@ -238,10 +238,11 @@ class LoopMatrix:
 
     def map_coefficients(self, fn, ring: Ring) -> "LoopMatrix":
         """fn applied to every known coefficient of every entry, in `ring`."""
-        return LoopMatrix(
-            [[e.map_coefficients(fn, ring) for e in r] for r in self.rows],
-            self.group,
-        )
+        return self.map_series(lambda e: e.map_coefficients(fn, ring))
+
+    def map_series(self, fn) -> "LoopMatrix":
+        """fn, a map of series, applied to every entry."""
+        return LoopMatrix([[fn(e) for e in r] for r in self.rows], self.group)
 
     def agrees_with(self, other: "LoopMatrix") -> bool:
         return self.n == other.n and all(

@@ -85,17 +85,15 @@ def _strip(ints, width) -> tuple:
 
 
 def _one_denominator(split, terms, size, width) -> tuple:
-    """(d, [(offset, f, na, nb)]) for the (offset, a, b) terms with offset < size:
-    ints cut at `size` coefficients, the shorter operand first, and f * na * nb
-    over d, the lcm of the products' denominators."""
-    conv = []
+    """(d, [(offset, f, na, nb)]) for the (offset, a, b) terms with offset < size: ints cut at
+    `size` coefficients, the shorter first, and f * na * nb over d, the lcm of their denominators."""
+    conv, d = [], 1
     for o, a, b in terms:
         if o < size:
-            (da, na), (db, nb) = split(a), split(b)
-            cut = (size - o) * width
-            na, nb = na[:cut], nb[:cut]
-            conv.append((o * width, da * db, na, nb) if len(na) <= len(nb) else (o * width, da * db, nb, na))
-    d = lcm(*[dk for _, dk, _, _ in conv])
+            (da, na), (db, nb), cut = split(a), split(b), (size - o) * width
+            na, nb, dk = na[:cut], nb[:cut], da * db
+            conv.append((o * width, dk, na, nb) if len(na) <= len(nb) else (o * width, dk, nb, na))
+            d = d if dk == 1 else lcm(d, dk)  # GF(p) splits every vector over 1
     return d, conv if d == 1 else [(o, d // dk, na, nb) for o, dk, na, nb in conv]
 
 
@@ -162,10 +160,6 @@ class Ring:
         (d, ints), w = self.split(vec), self.width
         return (self.values(d, ints[i * w : i * w + w]) or [self.zero])[0]
 
-    def neg_vec(self, vec):
-        d, ints = self.split(vec)
-        return self.close(d, [-c for c in ints])[1]
-
     def dot_vec(self, terms, size: int) -> tuple:
         """close() of the first `size` coefficients of the sum of
         t^offset * a * b over the (offset, a, b) terms, a and b packed: one
@@ -193,7 +187,7 @@ class Ring:
             if ai:
                 terms.append((i, ai * power))
             power = power * a0 % p if p else power * a0
-        cs = [1]
+        cs = [1][:length]  # none when length < 1
         for k in range(1, length):
             acc = 0
             for i, x in terms:
@@ -231,6 +225,7 @@ class RationalField(Ring):
     characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
+    one_vec = (1, (1,))  # the packed vector of the series 1
 
     def of(self, x) -> Fraction:
         if isinstance(x, Fraction):
@@ -317,6 +312,7 @@ class PrimeField(Ring):
         self.characteristic = p
         self.zero = 0
         self.one = 1 % p
+        self.one_vec = (1,)
 
     def of(self, x) -> int:
         if isinstance(x, int):
@@ -399,6 +395,7 @@ class ArtinianRing(Ring):
         self.characteristic = base.characteristic
         self.zero = (base.zero,) * m
         self.one = (base.one,) + (base.zero,) * (m - 1)
+        self.one_vec = self._pack(self.one)
 
     def of(self, x) -> tuple:
         if isinstance(x, (list, tuple)):
@@ -486,20 +483,21 @@ class ArtinianRing(Ring):
         # Power-series reciprocal truncated at x^m; needs a unit residue.
         if not self.is_unit(a):
             raise NonUnitLeading(f"constant term is not a unit in {self.name}")
-        return self.at(self.inv_vec(self._pack(a), 1)[1], 0)
+        cs = self.base.values(*self.split(self.base.inv_vec(self._pack(a), self.m)[1]))
+        return tuple(cs) + (self.base.zero,) * (self.m - len(cs))
 
     def inv_vec(self, vec, length: int) -> tuple:
-        # Newton's step b <- b * (2 - a*b) doubles the known coefficients of
-        # b = 1/a from 1/a[0], the base kernel's reciprocal of the first m
-        # ints; no denominator compounds, as each step is normalized
-        c0 = self.split(self.base.inv_vec(vec, self.m)[1])
-        b = self.close(c0[0], list(c0[1]) + [0] * (self.m - len(c0[1])))[1]
-        two, n = self._pack(self.add(self.one, self.one)), 1
-        while n < length:
-            n = min(2 * n, length)
-            ab = self.dot_vec([(0, vec, b)], n)[1]
-            b = self.dot_vec([(0, b, two), (0, self.neg_vec(b), ab)], n)[1]
-        return 0, b
+        # C_k, the coefficient of 1/a at t^k, is a block of m ints: C_0 is the
+        # base kernel's reciprocal of a's first block, a series in x, and
+        # C_k = sum_i Q_i C_(k-i) with Q_i = -C_0 a_i, each a dot_vec of size 1
+        # normalized on its own; one more dot_vec puts them over one denominator.
+        m, (d, ints) = self.m, self.split(vec)
+        cs = [self.base.inv_vec(self.close(d, ints[:m])[1], m)[1]]
+        blocks = [self.close(-d, ints[i * m : i * m + m])[1] for i in range(1, min(length, len(ints) // m))]
+        q = [self.dot_vec([(0, cs[0], a)], 1)[1] for a in blocks]  # close(-d, ints) negates
+        for k in range(1, length):
+            cs.append(self.dot_vec([(0, qi, cs[k - i]) for i, qi in enumerate(q[:k], 1)], 1)[1])
+        return self.dot_vec([(k, c, self.one_vec) for k, c in enumerate(cs)], length)
 
     def scalar_str(self, a) -> str:
         base = self.base

@@ -57,8 +57,9 @@ def poly_neg(ring, a):
 
 
 def poly_mul(ring, a, b):
-    p = _dot(((LaurentSeries.make(ring, 0, a, None), LaurentSeries.make(ring, 0, b, None)),))
-    return (ring.zero,) * p.shift + p.coeffs
+    (la, va), (lb, vb) = ring.close(*ring.numerators(a)), ring.close(*ring.numerators(b))
+    lo, vec = ring.dot_vec([(la + lb, va, vb)] if a and b else [], len(a) + len(b) - 1)
+    return (ring.zero,) * (lo or 0) + tuple(ring.values(*ring.split(vec)))
 
 
 def poly_scale(ring, c, a):
@@ -165,7 +166,7 @@ class LaurentSeries:
 
     @classmethod
     def one(cls, ring) -> "LaurentSeries":
-        return cls.make(ring, 0, (ring.one,), None)
+        return cls(ring, 0, ring.one_vec, None)
 
     @classmethod
     def constant(cls, ring, c) -> "LaurentSeries":
@@ -173,7 +174,7 @@ class LaurentSeries:
 
     @classmethod
     def t_power(cls, ring, k: int) -> "LaurentSeries":
-        return cls.make(ring, k, (ring.one,), None)
+        return cls(ring, k, ring.one_vec, None)
 
     # -- basic state: read from the packed vector, never from coeffs -------
 
@@ -234,7 +235,8 @@ class LaurentSeries:
         return _dot(((self, one), (other, one)))
 
     def neg(self) -> "LaurentSeries":
-        return LaurentSeries(self.ring, self.shift, self.ring.neg_vec(self.vec), self.known_end)
+        d, ints = self.ring.split(self.vec)
+        return LaurentSeries(self.ring, self.shift, self.ring.close(-d, ints)[1], self.known_end)
 
     def sub(self, other: "LaurentSeries") -> "LaurentSeries":
         return self.add(other.neg())
@@ -266,8 +268,8 @@ class LaurentSeries:
         split, width = ring.split, ring.width
         end, terms, lo, hi = None, [], None, None
         for a, b in pairs:
-            ring.require_same(a.ring)
-            ring.require_same(b.ring)
+            if a.ring is not ring or b.ring is not ring:  # equal backends may be two objects
+                ring.require_same(a.ring), ring.require_same(b.ring)
             na, nb = split(a.vec)[1], split(b.vec)[1]
             # product_end, inline: va and vb are the valuation lower bounds
             va, vb = a.shift if na else a.known_end, b.shift if nb else b.known_end
@@ -333,16 +335,15 @@ class LaurentSeries:
         return _series(self.ring, self.shift, self.ring.close(d, ints[:cut]), end)
 
     def map_coefficients(self, fn, ring: Ring) -> "LaurentSeries":
-        """Apply fn to every known coefficient, landing in `ring` (used for
-        constant lifts and residue reductions, which move packed ints)."""
-        src, (d, ints) = self.ring, self.ring.split(self.vec)
-        if fn == src.residue and ring == src.residue_field:
-            closed = ring.close(d, ints[:: src.width])
-        elif fn == getattr(ring, "from_base", None) and src == ring.residue_field:
-            closed = ring.close(d, [x for c in ints for x in (c,) + (0,) * (ring.width - 1)])
-        else:
-            return LaurentSeries.make(ring, self.shift, [ring.of(fn(c)) for c in self.coeffs], self.known_end)
-        return _series(ring, self.shift, closed, self.known_end)
+        """Apply fn to every known coefficient, landing in `ring`."""
+        return LaurentSeries.make(ring, self.shift, [ring.of(fn(c)) for c in self.coeffs], self.known_end)
+
+    def lifted(self, ring) -> "LaurentSeries":
+        """The constant lift to ring = k[x]/(x^m): map_coefficients(ring.from_base, ring), on ints."""
+        ring.base.require_same(self.ring)
+        d, ints = ring.split(self.vec)
+        lift = [x for c in ints for x in (c,) + (0,) * (ring.m - 1)]
+        return _series(ring, self.shift, ring.close(d, lift), self.known_end)
 
     # -- comparisons -------------------------------------------------------
 

@@ -209,7 +209,7 @@ def test_qq_kernels_match_generic_kernels():
             a[0] = _rational(rng, 100) or QQ.one
             if trial == 2:
                 a[0] = -abs(a[0])
-            for n in (1, length // 2 + 1, length, length + 3):
+            for n in (0, 1, length // 2, length, length + 3):
                 _check_inv(QQ, a, n)
     _check_mul(QQ, [QQ.zero] * 3, [QQ.one, QQ.zero], None)
     assert QQ.dot_vec([(0, QQ.close(1, [])[1], _packed(QQ, [QQ.one])[1])], 2) == (None, (1, ()))
@@ -218,6 +218,15 @@ def test_qq_kernels_match_generic_kernels():
 def test_qq_inverse_kernel_needs_a_unit():
     with pytest.raises(NonUnitLeading, match="division by zero in QQ"):
         QQ.inv_vec(QQ.close(1, [])[1], 4)
+
+
+@pytest.mark.parametrize("base", [QQ, PrimeField(7)], ids=lambda r: r.name)
+def test_artinian_inverse_kernel_needs_a_unit(base):
+    # a leading coefficient x has a zero first int, which no kernel may cut
+    ring = ArtinianRing(base, 3)
+    for length in (0, 1, 4):
+        with pytest.raises(NonUnitLeading):
+            ring.inv_vec(_packed(ring, [ring.gen(), ring.one])[1], length)
 
 
 def test_qq_kernels_property():
@@ -229,10 +238,13 @@ def test_qq_kernels_property():
     limits = st.none() | st.integers(-3, 55)
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
-    @hypothesis.given(vectors, vectors, limits, st.integers(1, 30))
+    @hypothesis.given(vectors, vectors, limits, st.integers(0, 30))
     def check(a, b, limit, length):
         _check_mul(QQ, a, b, limit)
-        if a[0] != 0:
+        if a[0] == 0:
+            with pytest.raises(NonUnitLeading):
+                QQ.inv_vec(QQ.numerators(a), length)  # a's ints, the zero lead kept
+        else:
             _check_inv(QQ, a, length)
 
     check()
@@ -277,7 +289,7 @@ def test_artinian_kernel_matches_generic_kernel(base):
             for limit in (None, 0, -3, 1, full // 2, full - 1, full, full + 5):
                 _check_mul(ring, a, b, limit)
             a[0] = ring.random_unit(rng)
-            for n in (1, length, length + 2):
+            for n in (0, 1, length, length + 2):
                 _check_inv(ring, a, n)
         _check_mul(ring, [ring.zero] * 3, [ring.one, ring.zero], None)
         _check_mul(ring, [ring.gen()] * 2, [ring.gen()] * 3, None)
@@ -303,7 +315,7 @@ def test_artinian_kernel_property():
         a, b = data.draw(vectors), data.draw(vectors)
         _check_mul(ring, a, b, data.draw(st.none() | st.integers(-3, 30)))
         if ring.is_unit(a[0]):
-            _check_inv(ring, a, data.draw(st.integers(1, 12)))
+            _check_inv(ring, a, data.draw(st.integers(0, 12)))
 
     check()
 

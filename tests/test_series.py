@@ -435,6 +435,7 @@ def test_kernel_outputs_are_canonical_property():
         a, b, c = data.draw(series), data.draw(series), data.draw(series)
         outputs = [a, a.mul(b), a.add(b), a.sub(a), a.neg(), LaurentSeries.dot([(a, b), (c, b)])]
         outputs += [a.truncated(data.draw(st.integers(-4, 8))), a.shifted(3)]
+        outputs += [LaurentSeries.one(ring), LaurentSeries.t_power(ring, data.draw(st.integers(-3, 3)))]
         if a.has_unit_lead():
             outputs.append(a.invert(data.draw(st.integers(1, 12))))
         if isinstance(ring, ArtinianRing):
@@ -442,6 +443,8 @@ def test_kernel_outputs_are_canonical_property():
         else:
             lift = ArtinianRing(ring, 3)
             outputs.append(a.map_coefficients(lift.from_base, lift))
+            outputs.append(a.lifted(lift))
+            assert outputs[-1] == outputs[-2]  # the packed lift is the scalar one
         for s in outputs:
             _canonical(s)
 
