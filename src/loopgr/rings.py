@@ -13,7 +13,8 @@ flattened (t^i x^u at index i*m + u).  No coefficient at either end is zero
 it cuts the zero ends and divides out the gcd or reduces mod p, once per
 coefficient.  The series kernels ``dot_vec``, one integer convolution for a
 sum of shifted products, and ``inv_vec``, the reciprocal, work on packed
-vectors only.
+vectors only.  Over QQ the reciprocal keeps its coefficients over one running
+denominator, raised only as the result needs, so no int outgrows the result.
 """
 
 from __future__ import annotations
@@ -176,30 +177,40 @@ class Ring:
 
     def inv_vec(self, vec, length: int) -> tuple:
         """close() of the first `length` coefficients of 1/a, a packed with a
-        nonzero leading coefficient.  In ints 1/a = d/N, and 1/N has the
-        coefficient c_k / a0^(k+1) at t^k: c_0 = 1 and c_k = -sum_i N[i]
-        a0^(i-1) c_(k-i).  Over GF(p) each c_k and power of a0 is reduced."""
+        nonzero lead: 1/a = d/N = sum z_k t^k, z_0 = d/N[0] and z_k = -(sum_i
+        N[i] z_(k-i))/N[0].  Over QQ every z_k is Z_k/q over one running q,
+        raised by one gcd per step only as far as z_k needs: a pivot's N[0]
+        often shares most of its digits with d, and its powers would swell far
+        past the result.  A lead prime to d is not inflated, and Z_k = d c_k
+        over N[0]^(k+1), c_k integers, is cheaper.  Over GF(p) q is 1."""
         p, (d, na) = self.characteristic, self.split(vec)
         if not na or not na[0]:
             raise NonUnitLeading(f"division by zero in {self.name}")
-        a0, terms, power = na[0], [], 1
+        a0, g = na[0], gcd(na[0], d)
+        reduce, r = not p and g != 1, pow(a0, -1, p) if p else 1
+        q, f, power, terms = a0 // g if reduce else 1, a0 if not (p or reduce) else 1, r, []
         for i, ai in enumerate(na[1:length], 1):
             if ai:
-                terms.append((i, ai * power))
-            power = power * a0 % p if p else power * a0
-        cs = [1][:length]  # none when length < 1
+                terms.append((i, ai * power))  # N[i] N[0]^(i-1) unreduced, N[i]/N[0] mod p
+            power *= f
+        zs = [d * r % p if p else d // g if reduce else d][:length]  # none when length < 1
         for k in range(1, length):
             acc = 0
             for i, x in terms:
                 if i > k:
                     break
-                acc -= x * cs[k - i]
-            cs.append(acc % p if p else acc)
-        power = d  # then d * c_k * a0^(length-1-k) over the one denominator a0^length
-        for k in range(length - 1, -1, -1):
-            cs[k] *= power
-            power = power * a0 % p if p else power * a0
-        return self.close(power // d, cs)
+                acc -= x * zs[k - i]
+            if reduce:  # z_k = acc/(q a0), and q h is the lcm of q and its denominator
+                e = gcd(acc, a0) if a0 > 0 else -gcd(acc, a0)  # so h > 0
+                h, acc = a0 // e, acc // e
+                if h != 1:
+                    zs, q = [z * h for z in zs], q * h
+            zs.append(acc % p if p else acc)
+        if not (p or reduce):  # Z_k a0^(length-1-k) over the one denominator a0^length
+            for k in range(length - 1, -1, -1):
+                zs[k] *= q
+                q *= a0
+        return self.close(q, zs)
 
     def require_same(self, other: "Ring") -> None:
         if self != other:

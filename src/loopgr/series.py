@@ -153,12 +153,11 @@ class LaurentSeries:
         terms = [(int(e), ring.of(c)) for e, c in terms]
         if not terms:
             return cls.make(ring, 0, (), known_end)
-        lo = min(e for e, _ in terms)
-        hi = max(e for e, _ in terms)
-        cs = [ring.zero] * (hi - lo + 1)
+        at = {}  # a coefficient is placed as it is, and added only to a repeated exponent
         for e, c in terms:
-            cs[e - lo] = ring.add(cs[e - lo], c)
-        return cls.make(ring, lo, cs, known_end)
+            at[e] = ring.add(at[e], c) if e in at else c
+        lo, hi = min(at), max(at)
+        return cls.make(ring, lo, [at.get(e, ring.zero) for e in range(lo, hi + 1)], known_end)
 
     @classmethod
     def zero(cls, ring, known_end=None) -> "LaurentSeries":

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -246,6 +247,54 @@ def test_qq_kernels_property():
                 QQ.inv_vec(QQ.numerators(a), length)  # a's ints, the zero lead kept
         else:
             _check_inv(QQ, a, length)
+
+    check()
+
+
+def _swollen(p, q, window, sign=1):
+    """w = P * (1/Q) on its first `window` coefficients, P and Q integer
+    polynomials: a unit whose packed lead shares a large factor with the
+    common denominator, as a Smith-form pivot's does.  1/w = Q * (1/P) on
+    the window."""
+    p, q = [Fraction(c) for c in p], [Fraction(sign * c) for c in q]
+    return mul_oracle(QQ, p, inv_oracle(QQ, q, window), window)
+
+
+def _check_swollen_inverse(p, q, window, sign):
+    w = _swollen(p, q, window, sign)
+    for length in (0, 1, window // 2, window):
+        _check_inv(QQ, w, length)
+        one_over_p = inv_oracle(QQ, [Fraction(c) for c in p], length)
+        want = mul_oracle(QQ, [Fraction(sign * c) for c in q], one_over_p, length)
+        assert _scalars(QQ, QQ.inv_vec(_packed(QQ, w)[1], length), length) == want
+
+
+def test_qq_inverse_of_a_swollen_lead():
+    p, q = [2, -1, 3], [3, 2, 0, -1]
+    for sign in (1, -1):
+        # the lead of w is ±2/3 over 3^12: gcd(N[0], d) = 3^11 takes the reduced recurrence
+        d, ints = _packed(QQ, _swollen(p, q, 12, sign))[1]
+        assert (d, ints[0]) == (3**12, sign * 2 * 3**11)
+        _check_swollen_inverse(p, q, 12, sign)
+    # a lead prime to the denominator keeps the unreduced recurrence
+    for cs in ([3, -2, 5], [-3, -2, 5], [Fraction(-3, 7), Fraction(2, 7)]):
+        d, ints = _packed(QQ, cs)[1]
+        assert gcd(ints[0], d) == 1
+        for length in (0, 1, 2, 16, 64):
+            _check_inv(QQ, [Fraction(c) for c in cs], length)
+
+
+def test_qq_inverse_of_a_swollen_lead_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    small = st.integers(-9, 9)
+    polys = st.builds(lambda a0, rest: [a0] + rest, small.filter(bool), st.lists(small, max_size=5))
+    windows, signs = st.integers(2, 24), st.sampled_from((1, -1))
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(polys, polys.filter(lambda q: abs(q[0]) > 1), windows, signs)
+    def check(p, q, window, sign):
+        _check_swollen_inverse(p, q, window, sign)
 
     check()
 
