@@ -93,10 +93,6 @@ class Factorization:
         return len(self.factors)
 
 
-def _unit_entry(e: LaurentSeries) -> bool:
-    return e.has_unit_lead()
-
-
 def factor_elementary(m: LoopMatrix, precision: int | None = None) -> Factorization:
     """Factor a determinant-one 2x2 loop into elementary matrices.
 
@@ -136,16 +132,16 @@ def _factor(m: LoopMatrix, precision) -> list[ElementaryFactor]:
         if b.is_exact_zero:
             return [ElementaryFactor((2, 1), c)]
     head = []
-    if c.is_zero_to_precision and _unit_entry(b):
+    if c.is_zero_to_precision and b.has_unit_lead():
         # E21(1) m: row 2 += row 1.  If a + c is zero on its window, so is
         # a + (a + c), and a second premultiplication cannot help
         c, d = a.add(c), b.add(d)
-        if not _unit_entry(c):
+        if not c.has_unit_lead():
             raise InsufficientPrecision(
                 "cannot certify a unit pivot after premultiplication", precision
             )
         head = [ElementaryFactor((2, 1), one.neg())]
-    if _unit_entry(c):
+    if c.has_unit_lead():
         x = a.sub(one).div(c, precision)
         y = d.sub(one).div(c, precision)
         return head + [
@@ -153,7 +149,7 @@ def _factor(m: LoopMatrix, precision) -> list[ElementaryFactor]:
             ElementaryFactor((2, 1), c),
             ElementaryFactor((1, 2), y),
         ]
-    if c.is_zero_to_precision and b.is_zero_to_precision and _unit_entry(a):
+    if c.is_zero_to_precision and b.is_zero_to_precision and a.has_unit_lead():
         a_inv = a.invert(precision)
         return [
             ElementaryFactor((2, 1), a_inv),

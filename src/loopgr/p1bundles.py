@@ -29,7 +29,7 @@ from .errors import (
 )
 from .loops import LoopMatrix
 from .rings import Ring, echelon_insert
-from .series import DEFAULT_PRECISION, LaurentSeries, RationalFunction, poly_mul, poly_strip_root
+from .series import DEFAULT_PRECISION, LaurentSeries, RationalFunction
 
 
 @dataclass(frozen=True)
@@ -160,16 +160,13 @@ def modify(datum: ModificationDatum, point, g: LoopMatrix) -> ModificationDatum:
 def expand_at(v, datum: ModificationDatum, i: int, precision: int | None = None):
     """Componentwise Laurent expansion of a vector of rational functions at
     marked point i, after checking that its poles sit only at the marked
-    points (and infinity)."""
-    ring = datum.ring
+    points (and infinity): the marked points are distinct, so their pole
+    orders sum to the degree of the denominator exactly then."""
     pts = [p.r for p in datum.points]
     for f in v:
         if not isinstance(f, RationalFunction):
             raise DomainError("expand_at expects rational-function components")
-        den = f.den
-        for r in pts:
-            _, den = poly_strip_root(ring, den, r)
-        if len(den) > 1:
+        if sum(f.pole_order_at(r) for r in pts) != f.den.degree:
             raise DomainError("component has a pole away from the marked points")
     center = pts[i]
     return [f.expand_at(center, precision) for f in v]
@@ -221,7 +218,7 @@ def _section_counts(datum: ModificationDatum, low: int, high: int, precision) ->
         # t^k / prod_j (t - r_j)^{N_j} at r_i is (t + r_i)^k * local, where
         # local = t^{-N_i} / prod_{j != i} (t + r_i - r_j)^{N_j}
         others = [
-            ((ring.sub(p.r, q.r), ring.one), nq)
+            (LaurentSeries.from_terms(ring, [(0, ring.sub(p.r, q.r)), (1, ring.one)]), nq)
             for j, (q, nq) in enumerate(zip(datum.points, bounds))
             if j != i
         ]
@@ -233,7 +230,10 @@ def _section_counts(datum: ModificationDatum, low: int, high: int, precision) ->
     if datum.infinity_loop is not None:
         # in s = 1/t, t^k / prod_j (t - r_j)^{N_j} is
         # s^total / prod_j (1 - r_j s)^{N_j} times s^(-k)
-        factors = [((ring.one, ring.neg(q.r)), nq) for q, nq in zip(datum.points, bounds)]
+        factors = [
+            (LaurentSeries.from_terms(ring, [(0, ring.one), (1, ring.neg(q.r))]), nq)
+            for q, nq in zip(datum.points, bounds)
+        ]
         inf_local = _reciprocal(ring, factors, 2 * binf + 4).shifted(total)
         s_inv = LaurentSeries.t_power(ring, -1)
         window = 2 * binf + max(abs(bottom), abs(top)) + 2
@@ -256,14 +256,14 @@ def _section_counts(datum: ModificationDatum, low: int, high: int, precision) ->
 
 
 def _reciprocal(ring, factors, window):
-    """Expansion at 0 of 1 / prod f^k over the (polynomial f, power k) pairs
-    in `factors`; f(0) must be a unit.  Exact when the product is constant,
-    else on a window of length `window`."""
-    prod = (ring.one,)
+    """Expansion at 0 of 1 / prod f^k over the (exact series f, power k)
+    pairs in `factors`; f(0) must be a unit.  Exact when the product is
+    constant, else on a window of length `window`."""
+    prod = LaurentSeries.one(ring)
     for f, k in factors:
         for _ in range(k):
-            prod = poly_mul(ring, prod, f)
-    return LaurentSeries.make(ring, 0, prod, None).invert(window)
+            prod = prod.mul(f)
+    return prod.invert(window)
 
 
 def _condition_rows(ring, alpha_inv, base, step, width, exps, precision):

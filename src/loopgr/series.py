@@ -10,9 +10,11 @@ that is provably correct given the input windows; exactness is preserved
 whenever the operation is exact (sums, products, monomial inversion, exact
 polynomial division).
 
-Rational functions are kept as exact numerator/denominator pairs and expanded
-lazily, so finitely presented inputs never lose information before an
-expansion is requested.
+Exact polynomials have one form: an exact series of valuation >= 0, on the
+same packed kernels as every other series; only the long division
+``_divmod`` works on coefficient lists.  A rational function keeps its
+numerator and denominator in that form and is expanded lazily, so finitely
+presented inputs never lose information before an expansion is requested.
 """
 
 from __future__ import annotations
@@ -33,89 +35,24 @@ def _min_end(*ends):
     return min(finite) if finite else None
 
 
-# ---------------------------------------------------------------------------
-# polynomials: tuples of backend elements, index = exponent, last coeff != 0
-
-def poly_trim(ring, cs):
-    cs = list(cs)
-    while cs and ring.is_zero(cs[-1]):
-        cs.pop()
-    return tuple(cs)
-
-
-def poly_add(ring, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = ring.add(out[i], c)
-    return poly_trim(ring, out)
-
-
-def poly_neg(ring, a):
-    return tuple(ring.neg(c) for c in a)
-
-
-def poly_mul(ring, a, b):
-    (la, va), (lb, vb) = ring.close(*ring.numerators(a)), ring.close(*ring.numerators(b))
-    lo, vec = ring.dot_vec([(la + lb, va, vb)] if a and b else [], len(a) + len(b) - 1)
-    return (ring.zero,) * (lo or 0) + tuple(ring.values(*ring.split(vec)))
-
-
-def poly_scale(ring, c, a):
-    if ring.is_zero(c):
-        return ()
-    return poly_trim(ring, [ring.mul(c, x) for x in a])
-
-
-def poly_divmod(ring, a, b):
-    """Quotient and remainder of a by b; the leading coefficient of b must
-    be a unit (always true over a field)."""
-    if not b:
-        raise DomainError("polynomial division by zero")
-    lead_inv = ring.inv(b[-1])
-    rem = list(a)
-    if len(a) < len(b):
-        return (), poly_trim(ring, rem)
-    q = [ring.zero] * (len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = ring.mul(rem[k + len(b) - 1], lead_inv)
-        if ring.is_zero(c):
-            continue
-        q[k] = c
-        for j, bj in enumerate(b):
-            rem[k + j] = ring.sub(rem[k + j], ring.mul(c, bj))
-    return poly_trim(ring, q), poly_trim(ring, rem)
-
-
-def poly_gcd(ring, a, b):
-    """Monic gcd over a field backend."""
-    while b:
-        _, r = poly_divmod(ring, a, b)
-        a, b = b, r
-    if a:
-        a = poly_scale(ring, ring.inv(a[-1]), a)
-    return a
-
-
-def poly_strip_root(ring, p, r):
-    """(k, q) with p = (t - r)^k * q and q(r) != 0; p must be nonzero."""
-    lin = poly_trim(ring, (ring.neg(r), ring.one))
-    k = 0
-    while True:
-        q, rem = poly_divmod(ring, p, lin)
-        if rem:
-            return k, p
-        p, k = q, k + 1
-
-
-def poly_shift_var(ring, p, r):
-    """The polynomial p(t + r), computed exactly by Horner recursion."""
-    res: tuple = ()
-    lin = poly_trim(ring, (r, ring.one))
-    for c in reversed(p):
-        res = poly_add(ring, poly_mul(ring, res, lin), poly_trim(ring, (c,)))
-    return res
+def _divmod(ring, a, b):
+    """Quotient and remainder of the coefficient lists a by b, lowest degree
+    first; b's top coefficient must be a unit.  The remainder has no zero at
+    the top, and a quotient step subtracts nothing at the top of b, where
+    the difference is zero by construction."""
+    add, mul, rem, n = ring.add, ring.mul, list(a), len(b) - 1
+    q = [ring.zero] * max(len(a) - n, 0)
+    lead_inv = ring.inv(b[-1]) if q else None
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = mul(rem[k + n], lead_inv)
+        if not ring.is_zero(c):
+            c = ring.neg(c)
+            for j in range(n):
+                rem[k + j] = add(rem[k + j], mul(c, b[j]))
+    del rem[n:]
+    while rem and ring.is_zero(rem[-1]):
+        rem.pop()
+    return q, rem
 
 
 class LaurentSeries:
@@ -203,6 +140,12 @@ class LaurentSeries:
         """Least exponent carrying a nonzero coefficient, None if unknown
         (zero on the whole known window)."""
         return None if self.is_zero_to_precision else self.shift
+
+    @property
+    def degree(self) -> int | None:
+        """Greatest exponent with a listed coefficient, None if none."""
+        ints = self.ring.split(self.vec)[1]
+        return self.shift + len(ints) // self.ring.width - 1 if ints else None
 
     def valuation_lower_bound(self) -> int | None:
         """Certified lower bound for the valuation; None means +infinity
@@ -321,7 +264,7 @@ class LaurentSeries:
                 return LaurentSeries.make(self.ring, 0, (), None)
             den = other.coeffs
             if self.ring.is_unit(den[-1]):
-                q, r = poly_divmod(self.ring, self.coeffs, den)
+                q, r = _divmod(self.ring, self.coeffs, den)
                 if not r:
                     return LaurentSeries.make(self.ring, self.shift - other.shift, q, None)
         return self.mul(other.invert(precision))
@@ -394,6 +337,7 @@ def _series(ring, shift, closed, known_end) -> LaurentSeries:
 class RationalFunction:
     """An exact rational function num/den in t over a field backend.
 
+    num and den are exact series of valuation >= 0, that is polynomials.
     Canonical form: gcd(num, den) = 1 and den monic, so equality is
     structural.  Expansion around any center, and around infinity in the
     coordinate s = 1/t, produces Laurent series with certified windows.
@@ -401,71 +345,62 @@ class RationalFunction:
 
     __slots__ = ("ring", "num", "den")
 
-    def __init__(self, ring: Ring, num, den):
+    def __init__(self, ring: Ring, num: LaurentSeries, den: LaurentSeries):
         if not ring.is_field:
             raise DomainError("rational functions need a field backend")
-        num = poly_trim(ring, [ring.of(c) for c in num])
-        den = poly_trim(ring, [ring.of(c) for c in den])
-        if not den:
+        for p in (num, den):
+            if not isinstance(p, LaurentSeries) or not p.is_exact or p.shift < 0:
+                raise DomainError("numerator and denominator must be exact polynomials")
+            if p.ring is not ring:  # equal backends may be two objects
+                ring.require_same(p.ring)
+        if den.is_exact_zero:
             raise DomainError("zero denominator")
-        # gcd(0, den) is den made monic, so zero gets the denominator 1
-        g = poly_gcd(ring, num, den)
-        if len(g) > 1:
-            num, _ = poly_divmod(ring, num, g)
-            den, _ = poly_divmod(ring, den, g)
-        lead_inv = ring.inv(den[-1])
-        self.ring = ring
-        self.num = poly_scale(ring, lead_inv, num)
-        self.den = poly_scale(ring, lead_inv, den)
+        if den.degree:
+            # Euclid on coefficient lists, up to a constant remainder: the gcd
+            # is then 1.  gcd(0, den) is den, so zero gets the denominator 1
+            polys = [[ring.zero] * p.shift + ring.values(*ring.split(p.vec)) for p in (num, den)]
+            a, b = polys
+            while len(b) > 1:
+                a, b = b, _divmod(ring, a, b)[1]
+            if not b:  # divide out the gcd a
+                num, den = [LaurentSeries.make(ring, 0, _divmod(ring, p, a)[0], None) for p in polys]
+        (dn, ns), (d, ds) = ring.split(num.vec), ring.split(den.vec)
+        if ds[-1] != d:  # make den monic: scale both by d over its top int, packed
+            num = _series(ring, num.shift, ring.close(dn * ds[-1], [c * d for c in ns]), None)
+            den = _series(ring, den.shift, ring.close(d * ds[-1], [c * d for c in ds]), None)
+        self.ring, self.num, self.den = ring, num, den
 
     @classmethod
     def from_terms(cls, ring, num_terms, den_terms=((0, 1),)) -> "RationalFunction":
-        def build(terms):
-            terms = [(int(e), ring.of(c)) for e, c in terms]
-            if any(e < 0 for e, _ in terms):
-                raise DomainError("polynomial terms need non-negative exponents")
-            size = max((e for e, _ in terms), default=-1) + 1
-            cs = [ring.zero] * size
-            for e, c in terms:
-                cs[e] = ring.add(cs[e], c)
-            return cs
-
-        return cls(ring, build(num_terms), build(den_terms))
+        num_terms, den_terms = list(num_terms), list(den_terms)
+        if any(int(e) < 0 for e, _ in num_terms + den_terms):
+            raise DomainError("polynomial terms need non-negative exponents")
+        return cls(ring, LaurentSeries.from_terms(ring, num_terms), LaurentSeries.from_terms(ring, den_terms))
 
     @classmethod
     def constant(cls, ring, c) -> "RationalFunction":
-        return cls(ring, (ring.of(c),), (ring.one,))
+        return cls(ring, LaurentSeries.constant(ring, c), LaurentSeries.one(ring))
 
     @classmethod
     def t(cls, ring) -> "RationalFunction":
-        return cls(ring, (ring.zero, ring.one), (ring.one,))
+        return cls(ring, LaurentSeries.t_power(ring, 1), LaurentSeries.one(ring))
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return self.num.is_exact_zero
 
     def add(self, other: "RationalFunction") -> "RationalFunction":
-        self.ring.require_same(other.ring)
-        r = self.ring
-        num = poly_add(
-            r,
-            poly_mul(r, self.num, other.den),
-            poly_mul(r, other.num, self.den),
-        )
-        return RationalFunction(r, num, poly_mul(r, self.den, other.den))
+        num = _dot(((self.num, other.den), (other.num, self.den)))
+        return RationalFunction(self.ring, num, self.den.mul(other.den))
 
     def neg(self) -> "RationalFunction":
-        return RationalFunction(self.ring, poly_neg(self.ring, self.num), self.den)
+        return RationalFunction(self.ring, self.num.neg(), self.den)
 
     def sub(self, other: "RationalFunction") -> "RationalFunction":
         return self.add(other.neg())
 
     def mul(self, other: "RationalFunction") -> "RationalFunction":
-        self.ring.require_same(other.ring)
-        r = self.ring
-        return RationalFunction(
-            r, poly_mul(r, self.num, other.num), poly_mul(r, self.den, other.den)
-        )
+        return RationalFunction(self.ring, self.num.mul(other.num), self.den.mul(other.den))
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero:
@@ -479,15 +414,12 @@ class RationalFunction:
         itself becomes a genuine Laurent pole.  The result window has length
         at least `precision` from its valuation (exact when the division
         terminates)."""
-        ring = self.ring
-        r = ring.of(r)
-        nu = LaurentSeries.make(ring, 0, poly_shift_var(ring, self.num, r), None)
-        de = LaurentSeries.make(ring, 0, poly_shift_var(ring, self.den, r), None)
-        return nu.div(de, precision)
+        r = self.ring.of(r)
+        return _translated(self.num, r).div(_translated(self.den, r), precision)
 
     def pole_order_at(self, r) -> int:
         """Order of the pole at t = r (0 when regular there)."""
-        return poly_strip_root(self.ring, self.den, self.ring.of(r))[0]
+        return _translated(self.den, self.ring.of(r)).valuation
 
     def __eq__(self, other):
         return (
@@ -501,12 +433,24 @@ class RationalFunction:
         return hash((self.ring, self.num, self.den))
 
     def __repr__(self):
-        def poly_str(p):
-            return repr(LaurentSeries.make(self.ring, 0, p, None))
+        if self.den == LaurentSeries.one(self.ring):
+            return repr(self.num)
+        return f"({self.num!r})/({self.den!r})"
 
-        if len(self.den) == 1:
-            return poly_str(self.num)
-        return f"({poly_str(self.num)})/({poly_str(self.den)})"
+
+def _translated(p: LaurentSeries, r) -> LaurentSeries:
+    """The exact polynomial p(t + r) over a field backend, by Horner's rule
+    from the top coefficient down to t^0: one dot per coefficient below the
+    top."""
+    ring, (d, ints) = p.ring, p.ring.split(p.vec)
+    if not ints:
+        return p
+    one, lin = LaurentSeries.one(ring), LaurentSeries.make(ring, 0, (r, ring.one), None)
+    cs = [_series(ring, 0, ring.close(d, (c,)), None) for c in [0] * p.shift + list(ints)]
+    out = cs.pop()
+    for c in reversed(cs):
+        out = _dot(((out, lin), (c, one)))
+    return out
 
 
 def expand_shift(f: RationalFunction, r, precision: int | None = None) -> LaurentSeries:

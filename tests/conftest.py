@@ -134,6 +134,122 @@ def inv_oracle(ring, a, length):
 
 
 # ---------------------------------------------------------------------------
+# polynomials as tuples of scalars, index = exponent, last coefficient
+# nonzero: the reference for RationalFunction and for the exact quotient of
+# LaurentSeries.div, with scalar operations only.
+
+
+def poly_trim(ring, cs):
+    cs = list(cs)
+    while cs and ring.is_zero(cs[-1]):
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_add(ring, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = ring.add(out[i], c)
+    return poly_trim(ring, out)
+
+
+def poly_neg(ring, a):
+    return tuple(ring.neg(c) for c in a)
+
+
+def poly_mul(ring, a, b):
+    if not a or not b:
+        return ()
+    return poly_trim(ring, mul_oracle(ring, a, b, len(a) + len(b) - 1))
+
+
+def poly_scale(ring, c, a):
+    return poly_trim(ring, [ring.mul(c, x) for x in a])
+
+
+def poly_divmod(ring, a, b):
+    """Quotient and remainder of a by b; b's leading coefficient must be a unit."""
+    lead_inv = ring.inv(b[-1])
+    rem = list(a)
+    if len(a) < len(b):
+        return (), poly_trim(ring, rem)
+    q = [ring.zero] * (len(a) - len(b) + 1)
+    for k in range(len(a) - len(b), -1, -1):
+        c = ring.mul(rem[k + len(b) - 1], lead_inv)
+        q[k] = c
+        for j, bj in enumerate(b):
+            rem[k + j] = ring.sub(rem[k + j], ring.mul(c, bj))
+    return poly_trim(ring, q), poly_trim(ring, rem)
+
+
+def poly_gcd(ring, a, b):
+    """Monic gcd over a field backend."""
+    while b:
+        a, b = b, poly_divmod(ring, a, b)[1]
+    return poly_scale(ring, ring.inv(a[-1]), a) if a else a
+
+
+def poly_strip_root(ring, p, r):
+    """(k, q) with p = (t - r)^k * q and q(r) != 0; p must be nonzero."""
+    lin = poly_trim(ring, (ring.neg(r), ring.one))
+    k = 0
+    while True:
+        q, rem = poly_divmod(ring, p, lin)
+        if rem:
+            return k, p
+        p, k = q, k + 1
+
+
+def poly_shift_var(ring, p, r):
+    """The polynomial p(t + r), by Horner recursion."""
+    res = ()
+    lin = poly_trim(ring, (r, ring.one))
+    for c in reversed(p):
+        res = poly_add(ring, poly_mul(ring, res, lin), poly_trim(ring, (c,)))
+    return res
+
+
+def poly_of(s: LaurentSeries) -> tuple:
+    """The tuple of an exact series of valuation >= 0."""
+    assert s.is_exact and s.shift >= 0
+    return poly_trim(s.ring, (s.ring.zero,) * s.shift + s.coeffs)
+
+
+def poly_from_terms(ring, terms):
+    """The tuple of a sum of (exponent >= 0, coefficient) terms."""
+    out = ()
+    for e, c in terms:
+        out = poly_add(ring, out, (ring.zero,) * e + (ring.of(c),))
+    return out
+
+
+def rf_oracle(ring, num, den):
+    """The canonical (num, den) tuples of num/den: coprime, den monic."""
+    g = poly_gcd(ring, num, den)
+    num, den = poly_divmod(ring, num, g)[0], poly_divmod(ring, den, g)[0]
+    lead_inv = ring.inv(den[-1])
+    return poly_scale(ring, lead_inv, num), poly_scale(ring, lead_inv, den)
+
+
+def rf_expand_oracle(ring, num, den, r, precision):
+    """PolyModel of num(t + r)/den(t + r) at 0 with LaurentSeries.div's
+    window: exact when the Laurent polynomial division terminates, else
+    `precision` coefficients from the valuation."""
+    nu, de = poly_shift_var(ring, num, r), poly_shift_var(ring, den, r)
+    if not nu:
+        return PolyModel(ring, {}, None)
+    vn = next(i for i, c in enumerate(nu) if not ring.is_zero(c))
+    vd = next(i for i, c in enumerate(de) if not ring.is_zero(c))
+    q, rem = poly_divmod(ring, nu[vn:], de[vd:])
+    if not rem:
+        return PolyModel(ring, dict(enumerate(q, vn - vd)), None)
+    cs = mul_oracle(ring, nu[vn:], inv_oracle(ring, de[vd:], precision), precision)
+    return PolyModel(ring, dict(enumerate(cs, vn - vd)), vn - vd + precision)
+
+
+# ---------------------------------------------------------------------------
 # random exact material
 
 

@@ -55,7 +55,6 @@ from loopgr.cartan import CartanFactorization, Cocharacter, _certify
 from loopgr.factorization import (
     ElementaryFactor,
     Factorization,
-    _unit_entry,
     factor_elementary,
 )
 from loopgr.errors import (
@@ -236,7 +235,7 @@ def per_twist_h0(datum, m, precision=None):
         # t^k / prod_j (t - r_j)^{N_j} at r_i is (t + r_i)^k * local, where
         # local = t^{-N_i} / prod_{j != i} (t + r_i - r_j)^{N_j}
         others = [
-            ((ring.sub(p.r, q.r), ring.one), nq)
+            (LaurentSeries.from_terms(ring, [(0, ring.sub(p.r, q.r)), (1, ring.one)]), nq)
             for j, (q, nq) in enumerate(zip(datum.points, bounds))
             if j != i
         ]
@@ -252,7 +251,10 @@ def per_twist_h0(datum, m, precision=None):
         # s^{total - k} / prod_j (1 - r_j s)^{N_j}
         inv_denom = _reciprocal(
             ring,
-            [((ring.one, ring.neg(q.r)), nq) for q, nq in zip(datum.points, bounds)],
+            [
+                (LaurentSeries.from_terms(ring, [(0, ring.one), (1, ring.neg(q.r))]), nq)
+                for q, nq in zip(datum.points, bounds)
+            ],
             2 * binf + 4,
         )
         basis = [inv_denom.shifted(total - k) for k in range(deg + 1)]
@@ -304,7 +306,7 @@ def _factor(m: LoopMatrix, precision, depth: int) -> list[ElementaryFactor]:
             return [ElementaryFactor((1, 2), b)]
         if b.is_exact_zero:
             return [ElementaryFactor((2, 1), c)]
-    if _unit_entry(c):
+    if c.has_unit_lead():
         x = a.sub(one).div(c, precision)
         y = d.sub(one).div(c, precision)
         return [
@@ -312,7 +314,7 @@ def _factor(m: LoopMatrix, precision, depth: int) -> list[ElementaryFactor]:
             ElementaryFactor((2, 1), c),
             ElementaryFactor((1, 2), y),
         ]
-    if c.is_zero_to_precision and _unit_entry(b):
+    if c.is_zero_to_precision and b.has_unit_lead():
         if depth >= 2:
             raise InsufficientPrecision(
                 "cannot certify a unit pivot after premultiplication", precision
@@ -320,7 +322,7 @@ def _factor(m: LoopMatrix, precision, depth: int) -> list[ElementaryFactor]:
         shear = elementary_loop(ring, 2, 1, 0, one)  # E21(1)
         rest = _factor(shear.mat_mul(m), precision, depth + 1)
         return [ElementaryFactor((2, 1), one.neg())] + rest
-    if c.is_zero_to_precision and b.is_zero_to_precision and _unit_entry(a):
+    if c.is_zero_to_precision and b.is_zero_to_precision and a.has_unit_lead():
         u = a
         u_inv = u.invert(precision)
         return [
@@ -523,7 +525,7 @@ def test_factor_elementary_matches_recursive_oracle():
         got = outcome(lambda: factor_elementary(m, p), _factors_key)
         assert got == outcome(lambda: recursive_factor_elementary(m, p), _factors_key)
         c, b = m.entry(1, 0), m.entry(0, 1)
-        premultiplied = c.is_zero_to_precision and _unit_entry(b)
+        premultiplied = c.is_zero_to_precision and b.has_unit_lead()
         seen.append((premultiplied, got[0] if got[0] == "ok" else got[1]))
     counts = collections.Counter(seen)
     assert counts[True, "ok"] >= 200
@@ -590,7 +592,11 @@ def _place(ring, rng):
     total = sum(bounds)
     if rng.random() < 0.5:
         i = rng.randrange(len(pts))
-        others = [((ring.sub(pts[i], q), ring.one), nq) for q, nq in zip(pts, bounds) if q != pts[i]]
+        others = [
+            (LaurentSeries.from_terms(ring, [(0, ring.sub(pts[i], q)), (1, ring.one)]), nq)
+            for q, nq in zip(pts, bounds)
+            if q != pts[i]
+        ]
         base = _reciprocal(ring, others, 2 * bounds[i] + 2).shifted(-bounds[i])
         step = LaurentSeries.from_terms(ring, [(0, pts[i]), (1, ring.one)])
         basis = [base]
@@ -599,7 +605,10 @@ def _place(ring, rng):
         return basis, base, step, range(-2 * bounds[i], 0)
     binf = rng.randint(0, 2)
     m = rng.randint(-total - binf, total + binf)
-    factors = [((ring.one, ring.neg(q)), nq) for q, nq in zip(pts, bounds)]
+    factors = [
+        (LaurentSeries.from_terms(ring, [(0, ring.one), (1, ring.neg(q))]), nq)
+        for q, nq in zip(pts, bounds)
+    ]
     inv_denom = _reciprocal(ring, factors, 2 * binf + 4)
     basis = [inv_denom.shifted(total - k) for k in range(m + total + binf + 1)]
     exps = range(-m - rng.randint(0, 2 * binf + 1), -m)

@@ -84,6 +84,19 @@ def test_expand_at_rejects_alien_poles():
         expand_at([RF([(0, 1)], [(0, -5), (1, 1)])], d, 0)
 
 
+def test_expand_at_pole_check_sums_pole_orders():
+    # accepted when the pole orders at the marked points sum to deg den
+    d = one_point(LoopMatrix.identity(QQ, 1), r="1")
+    double = RF([(0, 1)], [(0, 1), (1, -2), (2, 1)])  # 1/(t - 1)^2
+    assert expand_at([double], d, 0) == [LaurentSeries.t_power(QQ, -2)]
+    for den in (
+        [(0, 1), (2, 1)],  # t^2 + 1: no rational root
+        [(0, -5), (1, 11), (2, -7), (3, 1)],  # (t - 1)^2 (t - 5), 5 not marked
+    ):
+        with pytest.raises(DomainError, match="away from the marked points"):
+            expand_at([RF([(0, 1)], den)], d, 0)
+
+
 def test_expand_at_zero_component_and_double_pole():
     # c - c is zero whatever its denominator was; 1/(t+1)^2 has a double pole
     # at the marked point -1 and none elsewhere

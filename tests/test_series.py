@@ -29,9 +29,18 @@ from conftest import (
     inv_oracle,
     model_of,
     mul_oracle,
+    poly_add,
+    poly_divmod,
+    poly_from_terms,
+    poly_mul,
+    poly_neg,
+    poly_of,
+    poly_strip_root,
     rand_exact_series,
     rand_truncated_series,
     rand_unit_series,
+    rf_expand_oracle,
+    rf_oracle,
 )
 
 
@@ -583,7 +592,7 @@ def test_zero_rational_function_is_canonical():
     c = RF([(0, 1)], [(0, 1), (1, 1)])  # 1/(1 + t)
     zero = RationalFunction.constant(QQ, 0)
     for z in (c.sub(c), RF([], [(0, 1), (2, 3)]), c.mul(zero)):
-        assert z.den == (1,) and z == zero and hash(z) == hash(zero)
+        assert z.den == LaurentSeries.one(QQ) and z == zero and hash(z) == hash(zero)
         assert z.pole_order_at(-1) == 0
     with pytest.raises(DomainError):
         RF([(0, 1)], [])
@@ -594,3 +603,91 @@ def test_rational_function_cancellation():
     f = RF([(0, -1), (2, 1)], [(0, -1), (1, 1)])
     assert f.pole_order_at(1) == 0
     assert f.expand_at(1) == S([(0, 2), (1, 1)])
+
+
+def test_rational_from_terms_adds_only_at_a_repeated_exponent(monkeypatch):
+    calls = []
+    add = QQ.add
+    monkeypatch.setattr(QQ, "add", lambda a, b: calls.append((a, b)) or add(a, b))
+    f = RF([(0, 1), (2, 3)], [(0, 2)])
+    assert calls == []
+    g = RF([(1, 2), (1, 3)])
+    assert calls == [(2, 3)]
+    monkeypatch.undo()
+    assert f == RF([(0, Fraction(1, 2)), (2, Fraction(3, 2))]) and g == RF([(1, 5)])
+
+
+def test_rational_function_takes_exact_polynomials_only():
+    one = LaurentSeries.one(QQ)
+    for bad in (S([(0, 1)], 3), S([(-1, 1)]), (1,)):
+        with pytest.raises(DomainError):
+            RationalFunction(QQ, bad, one)
+        with pytest.raises(DomainError):
+            RationalFunction(QQ, one, bad)
+    with pytest.raises(BackendMismatch):
+        RationalFunction(QQ, LaurentSeries.one(PrimeField(7)), one)
+
+
+def test_rational_functions_match_tuple_oracle_property():
+    """from_terms, add, mul, neg, inverse, pole_order_at, expand_at and the
+    exact quotient of LaurentSeries.div against the tuple-polynomial
+    reference."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    raw = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4)))
+
+    def tuples(f):
+        return poly_of(f.num), poly_of(f.den)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from([QQ, PrimeField(10007)]), st.data())
+    def check(ring, data):
+        terms = st.lists(st.tuples(st.integers(0, 4), raw.map(ring.of)), max_size=5)
+        r = ring.of(data.draw(raw))
+        lin = (ring.neg(r), ring.one)
+        fs = []
+        for _ in range(2):
+            num_terms, den_terms = data.draw(terms), data.draw(terms)
+            den = poly_from_terms(ring, den_terms)
+            hypothesis.assume(den)
+            f = RationalFunction.from_terms(ring, num_terms, den_terms)
+            want = rf_oracle(ring, poly_from_terms(ring, num_terms), den)
+            assert tuples(f) == want
+            # a pole of order k at r, sometimes cancelled by the numerator
+            k, extra = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 1))
+            num, den = poly_mul(ring, want[0], lin if extra else (ring.one,)), want[1]
+            for _ in range(k):
+                den = poly_mul(ring, den, lin)
+            f = RationalFunction.from_terms(ring, enumerate(num), enumerate(den))
+            assert tuples(f) == rf_oracle(ring, num, den)
+            fs.append(f)
+        f, g = fs
+        (fn, fd), (gn, gd) = tuples(f), tuples(g)
+        cross = poly_add(ring, poly_mul(ring, fn, gd), poly_mul(ring, gn, fd))
+        assert tuples(f.add(g)) == rf_oracle(ring, cross, poly_mul(ring, fd, gd))
+        assert tuples(f.mul(g)) == rf_oracle(ring, poly_mul(ring, fn, gn), poly_mul(ring, fd, gd))
+        assert tuples(f.neg()) == (poly_neg(ring, fn), fd)
+        if fn:
+            assert tuples(f.inverse()) == rf_oracle(ring, fd, fn)
+        for center in (r, ring.of(data.draw(raw))):
+            assert f.pole_order_at(center) == poly_strip_root(ring, fd, center)[0]
+            precision = data.draw(st.integers(1, 10))
+            want = rf_expand_oracle(ring, fn, fd, center, precision)
+            assert want.matches(f.expand_at(center, precision))
+        # the exact quotient of a product by a factor; any other quotient is
+        # the expansion at 0, exact exactly when the division terminates
+        a, b = LaurentSeries.make(ring, 0, fn, None), LaurentSeries.make(ring, 0, fd, None)
+        q = a.mul(b).div(b)
+        assert q.is_exact and poly_of(q) == fn == poly_divmod(ring, poly_mul(ring, fn, fd), fd)[0]
+        if fn:
+            assert rf_expand_oracle(ring, fd, fn, ring.zero, 6).matches(b.div(a, 6))
+
+    check()
+
+
+def test_degree_is_the_top_listed_exponent():
+    assert S([(-2, 1), (3, 5)]).degree == 3
+    assert S([(2, 1)], 6).degree == 2 and S([], 4).degree is None
+    assert LaurentSeries.zero(QQ).degree is None and LaurentSeries.one(QQ).degree == 0
+    f = RF([(0, 4), (1, 2)], [(0, 2)])  # a constant denominator is scaled into num
+    assert f.den == LaurentSeries.one(QQ) and f.num == S([(0, 2), (1, 1)])
