@@ -116,8 +116,6 @@ def factor_elementary(m: LoopMatrix, precision: int | None = None) -> Factorizat
         raise DomainError("loop determinant must be 1 to precision")
     factors = _factor(m, precision)
     out = Factorization(ring, tuple([f for f in factors if not f.parameter.is_exact_zero]))
-    if len(out) > 4:
-        raise InsufficientPrecision("factorization exceeded the factor bound", precision)
     m._factorization[key] = out
     return out
 

@@ -28,7 +28,7 @@ from loopgr import (
     stratum,
     transpose_inverse,
 )
-from loopgr import cartan, loops
+from loopgr import loops
 from loopgr.factorization import ElementaryFactor, Factorization
 from loopgr.errors import DomainError, PrecisionError, SingularToPrecision
 
@@ -217,7 +217,6 @@ def test_smith_normal_form_forms_no_product_for_the_transforms(monkeypatch, args
     # U and V are written from the pivot cross and cost no product.  A product
     # is a mul call or a pair of a dot with no exact +-1 operand.
     loop = random_loop(*args)
-    monkeypatch.setattr(cartan, "_certify", lambda *_: None)
     calls, mul, dot = [], LaurentSeries.mul, LaurentSeries.dot
 
     def counted(self, other):

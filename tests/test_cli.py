@@ -81,27 +81,37 @@ def test_splitting_type_diag(tmp_path, capsys):
 
 
 def test_splitting_type_text_table(tmp_path, capsys):
-    datum = {"points": ["0"], "loops": [DIAG_LOOP], "infinity_loop": None}
+    datum = {"points": ["0"], "loops": [DIAG_LOOP], "infinity_loop": ROTATION_LOOP}
     path = write(tmp_path, "d.json", {"datum": datum})
     code, out, _ = run(capsys, ["splitting-type", path, "--format", "text"])
     assert code == 0
     assert "splitting type" in out and "(1, -1)" in out
+    assert [r.split() for r in out.splitlines()[-2:]] == [["0", "(1,", "-1)"], ["infinity", "(0,", "0)"]]
 
 
 def test_splitting_type_json_does_not_need_the_strata(tmp_path, capsys):
-    # the splitting type is certified, but the stratum of the truncated loop
-    # is not: JSON output succeeds, the text table reports the strata error
+    # the splitting type of HALF_LOOP at 0 is certified, but its stratum is
+    # not: JSON output succeeds, the text table reports the strata error
     from loopgr import LoopMatrix, jsonio, random_loop
 
+    datum = {"points": ["0"], "loops": [HALF_LOOP], "infinity_loop": None}
+    path = write(tmp_path, "half.json", {"datum": datum})
+    code, out, _ = run(capsys, ["splitting-type", path])
+    assert code == 0 and json.loads(out) == {"a": [0, 0]}
+    code, out, err = run(capsys, ["splitting-type", path, "--format", "text"])
+    assert code == 3 and out == ""
+    assert err.startswith("error[InsufficientPrecision]: ") and len(err.splitlines()) == 1
+    # a truncated loop whose pivots certify its stratum: the table shows the
+    # exact loop's stratum next to the splitting type
     g = random_loop(2, 1, 0)
     tr = LoopMatrix([[e.truncated((i + j) % 3) for j, e in enumerate(r)] for i, r in enumerate(g.rows)])
     datum = {"points": ["0"], "loops": [jsonio.loop_to_json(tr)], "infinity_loop": None}
     path = write(tmp_path, "tr.json", {"datum": datum})
     code, out, _ = run(capsys, ["splitting-type", path])
     assert code == 0 and json.loads(out) == {"a": [1, 1]}
-    code, out, err = run(capsys, ["splitting-type", path, "--format", "text"])
-    assert code == 3 and out == ""
-    assert err.startswith("error[InsufficientPrecision]: ") and len(err.splitlines()) == 1
+    code, out, _ = run(capsys, ["splitting-type", path, "--format", "text"])
+    assert code == 0 and g.built_from == (-1, -1)
+    assert out.splitlines()[-1].split() == ["0", "(-1,", "-1)"]
 
 
 def test_factor_rotation(tmp_path, capsys):
@@ -553,16 +563,45 @@ def test_batch_entry_faults_are_schema_rows(tmp_path, capsys):
         '{"command": "h0", "input": {"datum": {"points": [], "loops": [], "n": 2}, "m": '
         + "9" * 4301
         + "}}",
+        json.dumps({"command": "frobnicate", "input": {}}),
         json.dumps({"command": "stratum", "input": {"loop": IDENTITY_LOOP}}),
     ]
     p = tmp_path / "batch.jsonl"
     p.write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, ["batch", str(p)])
     rows = [json.loads(line) for line in out.splitlines()]
-    assert [r["index"] for r in rows] == [0, 1, 2]
-    assert [r.get("error") for r in rows[:2]] == ["SchemaError", "SchemaError"]
-    assert rows[2]["ok"] and rows[2]["output"] == {"lambda": [0, 0]}
+    assert [r["index"] for r in rows] == [0, 1, 2, 3]
+    assert [r.get("error") for r in rows[:3]] == ["SchemaError"] * 3
+    assert rows[2]["message"] == "unknown command 'frobnicate'"
+    assert rows[3]["ok"] and rows[3]["output"] == {"lambda": [0, 0]}
     assert code == 2
+
+
+# [[O(t^-1), 1], [1, 0]]: the (1,1) entry may hide any pole from t^-1 on
+HIDDEN_POLE_DATUM = {
+    "points": ["0"],
+    "loops": [{"n": 2, "entries": [[{"terms": [], "precision": -1}, ONE], [ONE, {"terms": []}]]}],
+    "infinity_loop": None,
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, code, error",
+    [
+        pytest.param("h0", {"datum": HIDDEN_POLE_DATUM, "m": 0}, 3, "UnboundedPole", id="h0.unbounded-pole"),
+        pytest.param("splitting-type", {"datum": HIDDEN_POLE_DATUM}, 3, "UnboundedPole", id="splitting.unbounded-pole"),
+        pytest.param(
+            "lift",
+            {"factorization": {"factors": [{"pos": [1, 2], "param": ONE}], "gamma": DIAG_LOOP}, "modulus_power": 2},
+            5,
+            "DomainError",
+            id="lift.non-positive-gamma",
+        ),
+    ],
+)
+def test_refused_input_exits_with_its_class_code(tmp_path, capsys, command, doc, code, error):
+    got, out, err = run(capsys, [command, write(tmp_path, "x.json", doc)])
+    assert got == code and out == "" and err.startswith(f"error[{error}]: ")
 
 
 RANK_ONE_LOOP = {"n": 1, "entries": [[ONE]], "group": "SL"}

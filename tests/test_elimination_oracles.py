@@ -9,6 +9,12 @@ every row and column operation on U and V.  On a seeded corpus every
 value (each entry's group, shift, coefficients and window) and every error
 (class, message, suggested precision) must agree exactly.
 
+`smith_normal_form` reports what its pivots certify and forms no product
+U * t^lam * V.  The residual pass it once ran is kept below as the reference:
+whenever the library answers on a truncation of a loop of known stratum, lam
+must be that stratum, U and V positive, and every entry of U * t^lam * V - a
+zero on its window.
+
 `h0` and `splitting_type` count sections for all twists from one echelon
 pass.  The oracle below is the per-twist count it replaced: every twist
 rebuilds its rows and ranks them alone, and `splitting_type` reads h0 at
@@ -37,6 +43,8 @@ import collections
 import itertools
 import random
 import re
+
+import pytest
 
 from loopgr import (
     QQ,
@@ -152,8 +160,18 @@ def full_smith_normal_form(a, precision):
         Cocharacter(tuple(reversed(divisors))),
         LoopMatrix(v[::-1]),
     )
-    _certify(a, fact, precision)
+    _certify(fact, precision)
     return fact
+
+
+def reconstruction_residuals(a, fact):
+    """Each entry of left * t^lam * right - a, as one sum of n + 1 products."""
+    lam, minus_one = fact.cocharacter.entries, LaurentSeries.one(a.ring).neg()
+    cols = list(zip(*fact.right.rows))
+    for r, ar in zip(fact.left.rows, a.rows):
+        lr = [e.shifted(k) for e, k in zip(r, lam)]
+        for col, ae in zip(cols, ar):
+            yield LaurentSeries.dot([*zip(lr, col), (ae, minus_one)])
 
 
 def _rank(ring, rows) -> int:
@@ -474,6 +492,44 @@ def test_smith_normal_form_matches_full_update_oracle():
         seen.append(got)
     assert {"InsufficientPrecision", "SingularToPrecision"} <= _errors(seen)
     assert len(seen) >= 150
+
+
+def test_smith_normal_form_answers_are_sound():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    answered = []
+
+    # each entry of random_loop(n, pole, seed) keeps its first d known terms,
+    # d <= 0 leaving only an O(t^k) at or below its valuation, or stays exact
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(
+        st.sampled_from([QQ, PrimeField(10007), PrimeField(7)]),
+        st.integers(2, 5),
+        st.integers(0, 2),
+        st.integers(0, 10**6),
+        st.sampled_from((None, 2, 4, 8)),
+        st.data(),
+    )
+    def check(ring, n, pole, seed, precision, data):
+        g = random_loop(n, pole, seed, ring)
+
+        def window(e):
+            d = data.draw(st.none() | st.integers(-1, 8))
+            return e if d is None else e.truncated(e.shift + d)
+
+        a = LoopMatrix([[window(e) for e in r] for r in g.rows])
+        try:
+            fact = smith_normal_form(a, precision)
+        except (InsufficientPrecision, SingularToPrecision):
+            return
+        assert fact.cocharacter.entries == g.built_from
+        assert fact.left.is_positive() and fact.right.is_positive()
+        assert all(res.is_zero_to_precision for res in reconstruction_residuals(a, fact))
+        answered.append(any(not e.is_exact for r in a.rows for e in r))
+
+    check()
+    # answers on exact loops and on truncated ones alike
+    assert {False, True} <= set(answered)
 
 
 def _sl2_corpus(seed, count):

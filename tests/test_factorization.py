@@ -275,6 +275,15 @@ def test_perturbation_must_be_in_maximal_ideal():
         lift_factorization(f, A, {0: LaurentSeries.one(A)})
 
 
+def test_perturbation_index_must_name_a_factor():
+    A = ArtinianRing(QQ, 2)
+    f = factor_elementary(E12([(-1, 1)]))
+    pert = LaurentSeries.from_terms(A, [(0, A.gen())])
+    for idx in (len(f), -1):
+        with pytest.raises(DomainError, match="out of range"):
+            lift_factorization(f, A, {idx: pert})
+
+
 def test_lift_of_rotation_multiplies_out():
     A = ArtinianRing(QQ, 3)
     rot = LoopMatrix.from_rows(QQ, [[0, 1], [-1, 0]], "SL")

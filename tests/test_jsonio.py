@@ -62,6 +62,8 @@ def test_loop_roundtrip_and_validation():
     bad["n"] = 3
     with pytest.raises(SchemaError):
         jsonio.loop_from_json(QQ, bad)
+    with pytest.raises(SchemaError, match="GL or SL"):
+        jsonio.loop_from_json(QQ, dict(doc, group="PGL"))
 
 
 def test_datum_roundtrip():

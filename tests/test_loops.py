@@ -18,6 +18,7 @@ from loopgr import (
     random_positive,
 )
 from loopgr.errors import (
+    BackendMismatch,
     DomainError,
     InsufficientPrecision,
     NonUnitLeading,
@@ -231,6 +232,32 @@ def test_min_valuation_pivot_ties_and_hidden_entries():
     assert exc.value.suggested_precision == 48
     m[1][1] = LaurentSeries.zero(QQ, 2)
     assert _min_valuation_pivot(m, 0, None) == (0, 1)
+
+
+_ONE = LaurentSeries.one(QQ)
+
+
+@pytest.mark.parametrize(
+    "rows, group, error, message",
+    [
+        pytest.param([], "GL", DomainError, "square and non-empty", id="empty"),
+        pytest.param([[_ONE, _ONE]], "GL", DomainError, "square and non-empty", id="not-square"),
+        pytest.param([[_ONE, 1], [_ONE, _ONE]], "GL", DomainError, "must be LaurentSeries", id="scalar-later"),
+        pytest.param(
+            [[_ONE, _ONE], [_ONE, LaurentSeries.one(PrimeField(7))]], "GL", BackendMismatch, "mixed", id="mixed"
+        ),
+        pytest.param([[_ONE]], "PGL", DomainError, "unknown group flag", id="group"),
+    ],
+)
+def test_loop_constructor_checks(rows, group, error, message):
+    with pytest.raises(error, match=message):
+        LoopMatrix(rows, group)
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (1, 1), (0, 2), (-1, 0)])
+def test_elementary_loop_needs_an_off_diagonal_position(i, j):
+    with pytest.raises(DomainError, match="off-diagonal"):
+        elementary_loop(QQ, 2, i, j, _ONE)
 
 
 def test_sl_flag_checked():

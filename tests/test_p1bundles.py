@@ -30,7 +30,7 @@ from loopgr import (
     stratum,
 )
 from loopgr import p1bundles
-from loopgr.errors import DomainError, InsufficientPrecision, MarkedPointError
+from loopgr.errors import DomainError, InsufficientPrecision, MarkedPointError, UnboundedPole
 
 from conftest import rand_exact_series
 
@@ -531,6 +531,16 @@ def test_product_coefficient_suggestion_exceeds_precision_in_use():
         with pytest.raises(InsufficientPrecision, match="exponent -2 of a product") as exc:
             h0(d, -1, precision)
         assert exc.value.suggested_precision == suggested
+
+
+def test_a_pole_hidden_below_t0_is_unbounded():
+    # [[O(t^-1), 1], [1, 0]]: the (1,1) entry may hide any pole from t^-1 on
+    one, zero = LaurentSeries.one(QQ), LaurentSeries.zero(QQ)
+    d = ModificationDatum.at_points(QQ, ["0"], [LoopMatrix([[LaurentSeries.zero(QQ, -1), one], [one, zero]])])
+    with pytest.raises(UnboundedPole, match="finite pole bound"):
+        h0(d, 0)
+    with pytest.raises(UnboundedPole):
+        splitting_type(d)
 
 
 def test_section_counting_refuses_a_non_field_before_the_pole_bound():
