@@ -10,14 +10,19 @@ multiplicity pattern names the associated parabolic type.
 The reduction pivots on an entry of minimal valuation, ties broken by the
 smallest row then column index, and divides out unit parts exactly when the
 entries permit.  Step s writes u's column s and v's row s once, from the pivot
-cross of step s; nothing is mirrored on u or v.  Every row and column
-update x - q*y is one ``LaurentSeries.dot``.
+cross of step s; nothing is mirrored on u or v.  A row update x - q*y of
+an entry right of the pivot column is one ``LaurentSeries.dot``.  An entry
+the elimination zeroes is a window only, with no product formed: the scaled
+pivot is t^val, each entry below it becomes zero, and a column update adds
+that zero times q, so it only shortens the window, each to the end its
+product would certify (``LaurentSeries.product_end``).  The last pivot
+scales nothing that is read again and is not inverted.
 
 The pivots are the certificate.  Each pivot is an entry of least valuation in
 the remaining block with a unit lead, and no entry that is zero only on its
 window could hide a smaller valuation (``loops._min_valuation_pivot``).  The
 row and column operations are unimodular over k[[t]], and every updated entry
-carries the window its ``dot`` certifies, so the remaining blocks of the true
+carries the window its product certifies, so the remaining blocks of the true
 loop agree with the computed ones on those windows and the pivot valuations
 are its elementary divisors.  u and v are read off the pivot crosses, so
 a = u * t^lam * v holds by construction, on the windows of those entries; no
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InsufficientPrecision
 from .loops import LoopMatrix, _min_valuation_pivot
-from .series import LaurentSeries
+from .series import LaurentSeries, _require_working_precision
 
 
 @dataclass(frozen=True)
@@ -160,29 +165,36 @@ def smith_normal_form(a: LoopMatrix, precision: int | None = None) -> CartanFact
             cols[s], cols[j0] = cols[j0], cols[s]
         val = m[s][s].shift
         u[rows[s]][s] = w = m[s][s].shifted(-val)
-        # scale the pivot row by the inverse unit part; exact when monomial
+        v[s][cols[s]] = one
+        divisors.append(val)
+        if s == n - 1:  # the last pivot scales nothing that is read again
+            _require_working_precision(precision)  # as step 0's invert checks at every larger rank
+            break
+        # scale the pivot row by the inverse unit part; exact when monomial.
+        # The pivot becomes t^val on the window its product would certify
         w_inv = w.invert(precision)
+        pivot = LaurentSeries.t_power(ring, val).truncated(m[s][s].product_end(w_inv))
         # rows <= s and columns < s are dead; column ops below read column s
-        m[s][s:] = [e.mul(w_inv) for e in m[s][s:]]
+        m[s][s + 1 :] = [e.mul(w_inv) for e in m[s][s + 1 :]]
         for i in range(s + 1, n):
             e = m[i][s]
             # an entry zero only on its window must still carry its O(t^k)
             if e.is_exact_zero:
                 continue
             q = u[rows[i]][s] = e.shifted(-val)  # in k[[t]]: the pivot valuation is minimal
+            # e - q*pivot is zero on the window of q*pivot, which ends no later than e's
+            m[i][s] = LaurentSeries.zero(ring, q.product_end(pivot))
             nq = q.neg()
-            m[i][s:] = [LaurentSeries.dot(((x, one), (nq, y))) for x, y in zip(m[i][s:], m[s][s:])]
-        v[s][cols[s]] = one
+            m[i][s + 1 :] = [LaurentSeries.dot(((x, one), (nq, y))) for x, y in zip(m[i][s + 1 :], m[s][s + 1 :])]
         for j in range(s + 1, n):
             e = m[s][j]
             if e.is_exact_zero:
                 continue
             q = v[s][cols[j]] = e.shifted(-val)
-            nq = q.neg()
-            # also a row whose column-s entry is an O(t^k): its window carries on
+            # row[s] is zero on its window: row[j] - q*row[s] is row[j] on the
+            # shorter of the two windows
             for row in m[s + 1 :]:
-                row[j] = LaurentSeries.dot(((row[j], one), (row[s], nq)))
-        divisors.append(val)
+                row[j] = row[j].truncated(row[s].product_end(q))
     # the divisors come out ascending; reversing the order of the columns of
     # u and of the rows of v makes lam dominant
     fact = CartanFactorization(

@@ -61,6 +61,8 @@ class LoopMatrix:
         rows = tuple([tuple(r) for r in rows])
         if not rows or any(len(r) != len(rows) for r in rows):
             raise DomainError("a loop matrix must be square and non-empty")
+        if not isinstance(rows[0][0], LaurentSeries):  # read before its ring
+            raise DomainError("loop entries must be LaurentSeries")
         ring = rows[0][0].ring
         for r in rows:
             for e in r:

@@ -35,6 +35,12 @@ def _min_end(*ends):
     return min(finite) if finite else None
 
 
+def _require_working_precision(precision):
+    """A working precision is None (the default) or at least 1."""
+    if precision is not None and precision < 1:
+        raise DomainError(f"working precision must be at least 1, got {precision}")
+
+
 def _divmod(ring, a, b):
     """Quotient and remainder of the coefficient lists a by b, lowest degree
     first; b's top coefficient must be a unit.  The remainder has no zero at
@@ -241,8 +247,7 @@ class LaurentSeries:
         """Reciprocal.  The window length of the input is preserved; an exact
         input yields an exact monomial inverse or a series truncated at
         `precision` (default 16; at least 1)."""
-        if precision is not None and precision < 1:
-            raise DomainError(f"working precision must be at least 1, got {precision}")
+        _require_working_precision(precision)
         ring, ints = self.ring, self.ring.split(self.vec)[1]
         if not ints:
             raise ZeroToPrecision("cannot invert a series that is zero on its known window")
@@ -269,9 +274,12 @@ class LaurentSeries:
                     return LaurentSeries.make(self.ring, self.shift - other.shift, q, None)
         return self.mul(other.invert(precision))
 
-    def truncated(self, known_end: int) -> "LaurentSeries":
-        """Forget coefficients at exponents >= known_end."""
+    def truncated(self, known_end: int | None) -> "LaurentSeries":
+        """Forget coefficients at exponents >= known_end (None: none).  A
+        window that does not shrink returns self: it is already canonical."""
         end = _min_end(self.known_end, known_end)
+        if end == self.known_end:
+            return self
         d, ints = self.ring.split(self.vec)
         cut = None if end is None else max(0, end - self.shift) * self.ring.width
         return _series(self.ring, self.shift, self.ring.close(d, ints[:cut]), end)
@@ -364,11 +372,14 @@ class RationalFunction:
                 a, b = b, _divmod(ring, a, b)[1]
             if not b:  # divide out the gcd a
                 num, den = [LaurentSeries.make(ring, 0, _divmod(ring, p, a)[0], None) for p in polys]
-        (dn, ns), (d, ds) = ring.split(num.vec), ring.split(den.vec)
-        if ds[-1] != d:  # make den monic: scale both by d over its top int, packed
-            num = _series(ring, num.shift, ring.close(dn * ds[-1], [c * d for c in ns]), None)
-            den = _series(ring, den.shift, ring.close(d * ds[-1], [c * d for c in ds]), None)
-        self.ring, self.num, self.den = ring, num, den
+        self.ring, (self.num, self.den) = ring, _monic(ring, num, den)
+
+    @classmethod
+    def _reduced(cls, ring, num, den) -> "RationalFunction":
+        """num/den already in canonical form: no Euclid, no scaling."""
+        f = object.__new__(cls)
+        f.ring, f.num, f.den = ring, num, den
+        return f
 
     @classmethod
     def from_terms(cls, ring, num_terms, den_terms=((0, 1),)) -> "RationalFunction":
@@ -394,7 +405,7 @@ class RationalFunction:
         return RationalFunction(self.ring, num, self.den.mul(other.den))
 
     def neg(self) -> "RationalFunction":
-        return RationalFunction(self.ring, self.num.neg(), self.den)
+        return RationalFunction._reduced(self.ring, self.num.neg(), self.den)
 
     def sub(self, other: "RationalFunction") -> "RationalFunction":
         return self.add(other.neg())
@@ -405,7 +416,8 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.is_zero:
             raise DomainError("cannot invert the zero rational function")
-        return RationalFunction(self.ring, self.den, self.num)
+        # still in lowest terms: only the new denominator is made monic
+        return RationalFunction._reduced(self.ring, *_monic(self.ring, self.den, self.num))
 
     def expand_at(self, r, precision: int | None = None) -> LaurentSeries:
         """Laurent expansion of self(t + r) around t = 0.
@@ -436,6 +448,15 @@ class RationalFunction:
         if self.den == LaurentSeries.one(self.ring):
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
+
+
+def _monic(ring, num, den) -> tuple:
+    """(num, den) scaled by d over den's top int, packed, so that den is monic."""
+    (dn, ns), (d, ds) = ring.split(num.vec), ring.split(den.vec)
+    if ds[-1] == d:
+        return num, den
+    num = _series(ring, num.shift, ring.close(dn * ds[-1], [c * d for c in ns]), None)
+    return num, _series(ring, den.shift, ring.close(d * ds[-1], [c * d for c in ds]), None)
 
 
 def _translated(p: LaurentSeries, r) -> LaurentSeries:

@@ -211,11 +211,14 @@ def _is_exact_unit_sign(e):
     return e.is_exact and e.shift == 0 and e.coeffs in ((ring.one,), (ring.neg(ring.one),))
 
 
-@pytest.mark.parametrize("args, products", [((3, 2, 7), 19), ((4, 1, 3), 44), ((5, 2, 0), 85)])
+@pytest.mark.parametrize("args, products", [((3, 2, 7), 8), ((4, 1, 3), 20), ((5, 2, 0), 40)])
 def test_smith_normal_form_forms_no_product_for_the_transforms(monkeypatch, args, products):
-    # a block of size k costs k scalings, k(k-1) row and (k-1)^2 column updates;
-    # U and V are written from the pivot cross and cost no product.  A product
-    # is a mul call or a pair of a dot with no exact +-1 operand.
+    # a block of size k > 1 costs k - 1 scalings and (k-1)^2 row updates, k(k-1)
+    # in all.  The pivot, column s below it and the column updates are windows
+    # only: each entry the elimination zeroes keeps the window its product would
+    # certify, and no product is formed.  The last block, of size 1, inverts
+    # nothing.  U and V are written from the pivot cross and cost no product.
+    # A product is a mul call or a pair of a dot with no exact +-1 operand.
     loop = random_loop(*args)
     calls, mul, dot = [], LaurentSeries.mul, LaurentSeries.dot
 
@@ -230,7 +233,32 @@ def test_smith_normal_form_forms_no_product_for_the_transforms(monkeypatch, args
     monkeypatch.setattr(LaurentSeries, "mul", counted)
     monkeypatch.setattr(LaurentSeries, "dot", staticmethod(counted_dot))
     smith_normal_form(loop)
-    assert len(calls) == products == sum(k * k + (k - 1) ** 2 for k in range(1, loop.n + 1))
+    assert len(calls) == products == sum(k * (k - 1) for k in range(1, loop.n + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_smith_normal_form_inverts_every_pivot_but_the_last(monkeypatch, n):
+    loop, calls, invert = random_loop(n, 2, n), [], LaurentSeries.invert
+
+    def counted(self, precision=None):
+        calls.append(None)
+        return invert(self, precision)
+
+    monkeypatch.setattr(LaurentSeries, "invert", counted)
+    smith_normal_form(loop)
+    assert len(calls) == n - 1
+
+
+def test_rank_one_loop_below_precision_one_is_a_domain_error():
+    # its only step is the last one, which inverts nothing; the precision is
+    # refused all the same, after the pivot is found, as at every larger rank
+    loop = LoopMatrix.from_rows(QQ, [[[(2, 3), (3, 1)]]])
+    for p in (0, -1):
+        with pytest.raises(DomainError, match="working precision must be at least 1"):
+            smith_normal_form(loop, p)
+    with pytest.raises(SingularToPrecision):
+        smith_normal_form(LoopMatrix([[LaurentSeries.zero(QQ, 3)]]), 0)
+    assert smith_normal_form(loop, 1).cocharacter.entries == (2,)
 
 
 def test_stratum_products_and_eliminations_form_no_series_sum(monkeypatch):

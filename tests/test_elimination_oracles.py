@@ -486,7 +486,9 @@ def test_gauss_inverse_matches_full_update_oracle():
 def test_smith_normal_form_matches_full_update_oracle():
     seen = []
     # precision 2 compares U and V also at the shortest pivot inverses
-    for m, p in corpus("snf-oracle", [QQ, PrimeField(10007)], range(1, 6), 9, (None, 2, 10, 24)):
+    # GF(7) cancels often: column s meets exact zeros and O(t^k) entries
+    rings = [QQ, PrimeField(10007), PrimeField(7)]
+    for m, p in corpus("snf-oracle", rings, range(1, 6), 9, (None, 2, 10, 24)):
         got = outcome(lambda: smith_normal_form(m, p), _fact_key)
         assert got == outcome(lambda: full_smith_normal_form(m, p), _fact_key)
         seen.append(got)

@@ -5,10 +5,12 @@ matrix over k[t] by its own Smith form.  For a Laurent polynomial loop g with
 t^N g polynomial, the t-adic valuations of those factors, minus N, are the
 elementary divisor exponents of g over k[[t]], read in ascending order: the
 stratum reversed.  `stratum` must give them on the exact loop, and every
-answer it gives on a truncation of that loop must be the same.
+answer it gives on a truncation of that loop must be the same.  The
+determinant of g is sympy's determinant of t^N g divided by t^(nN).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +19,7 @@ from loopgr.errors import InsufficientPrecision, SingularToPrecision
 
 sympy = pytest.importorskip("sympy")
 normalforms = pytest.importorskip("sympy.matrices.normalforms")
+DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
 
 
 def sympy_stratum(g):
@@ -64,3 +67,34 @@ def test_stratum_matches_sympy_invariant_factors(ring, n):
                 assert got.entries == lam
                 answered += 1
     assert answered
+
+
+def sympy_det(g):
+    """det g as {exponent: coefficient}, from sympy's determinant of the
+    polynomial matrix t^N g over QQ[t] or GF(p)[t], divided by t^(nN)."""
+    t = sympy.Symbol("t")
+    domain = sympy.QQ if g.ring == QQ else sympy.GF(g.ring.p)
+    shift = -min(e.shift for r in g.rows for e in r if e.coeffs)
+    poly = domain[t]
+
+    def entry(e):
+        return poly.from_sympy(sum(sympy.Rational(str(c)) * t ** (e.shift + shift + k) for k, c in enumerate(e.coeffs)))
+
+    matrix = DomainMatrix([[entry(e) for e in r] for r in g.rows], (g.n, g.n), poly)
+    det = sympy.Poly(poly.to_sympy(matrix.det()), t, domain=domain)
+    if g.ring == QQ:
+        return {m - g.n * shift: Fraction(int(c.p), int(c.q)) for (m,), c in det.terms() if c}
+    return {m - g.n * shift: int(c) % g.ring.p for (m,), c in det.terms() if int(c) % g.ring.p}
+
+
+@pytest.mark.parametrize(
+    "ring, n",
+    [(QQ, n) for n in (1, 2, 3, 4)] + [(PrimeField(p), n) for p in (10007, 7) for n in (1, 2, 3, 4, 5)],
+    ids=str,
+)
+def test_det_matches_sympy_determinant(ring, n):
+    for seed in range(3):
+        g = random_loop(n, 2, seed, ring)
+        d = g.det()
+        assert d.is_exact
+        assert {e: c for e, c in enumerate(d.coeffs, d.shift) if c} == sympy_det(g)

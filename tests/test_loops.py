@@ -243,6 +243,8 @@ _ONE = LaurentSeries.one(QQ)
         pytest.param([], "GL", DomainError, "square and non-empty", id="empty"),
         pytest.param([[_ONE, _ONE]], "GL", DomainError, "square and non-empty", id="not-square"),
         pytest.param([[_ONE, 1], [_ONE, _ONE]], "GL", DomainError, "must be LaurentSeries", id="scalar-later"),
+        pytest.param([[1]], "GL", DomainError, "must be LaurentSeries", id="scalar-first"),
+        pytest.param([[1, _ONE], [_ONE, _ONE]], "GL", DomainError, "must be LaurentSeries", id="scalar-first-of-two"),
         pytest.param(
             [[_ONE, _ONE], [_ONE, LaurentSeries.one(PrimeField(7))]], "GL", BackendMismatch, "mixed", id="mixed"
         ),

@@ -16,6 +16,7 @@ from loopgr import (
     random_loop,
     stratum,
 )
+from loopgr import series
 from loopgr.errors import (
     BackendMismatch,
     DomainError,
@@ -145,6 +146,23 @@ def test_working_precision_below_one_is_a_domain_error():
     with pytest.raises(DomainError):
         S([(0, 1), (1, 1)]).invert(0)
     assert S([(0, 1), (1, 1)]).invert(1).known_end == 1
+
+
+def test_truncated_returns_self_unless_the_window_shrinks():
+    # series are canonical, so a window that does not shrink keeps the object
+    exact, cut = S([(0, 2), (3, 1)]), S([(-1, Fraction(1, 2)), (0, Fraction(1, 3)), (2, 5)], 6)
+    for s, end in ((exact, None), (cut, None), (cut, 6), (cut, 9)):
+        assert s.truncated(end) is s
+    # a shorter window gives the series built on it, in canonical form
+    for s, end, want in (
+        (exact, 4, S([(0, 2), (3, 1)], 4)),
+        (cut, 0, S([(-1, Fraction(1, 2))], 0)),
+        (cut, -1, LaurentSeries.zero(QQ, -1)),
+        (cut, -5, LaurentSeries.zero(QQ, -5)),
+    ):
+        got = s.truncated(end)
+        assert got == want and got is not s
+        _canonical(got)
 
 
 def test_valuation_examples():
@@ -683,6 +701,38 @@ def test_rational_functions_match_tuple_oracle_property():
             assert rf_expand_oracle(ring, fd, fn, ring.zero, 6).matches(b.div(a, 6))
 
     check()
+
+
+def test_rational_neg_and_inverse_equal_the_constructor_property():
+    """neg and inverse keep a pair that is already in lowest terms: each
+    equals the constructor's answer on the same pair."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    raw = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7)))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from([QQ, PrimeField(10007)]), st.data())
+    def check(ring, data):
+        terms = st.lists(st.tuples(st.integers(0, 4), raw.map(ring.of)), max_size=5)
+        num_terms, den_terms = data.draw(terms), data.draw(terms)
+        hypothesis.assume(poly_from_terms(ring, den_terms))
+        f = RationalFunction.from_terms(ring, num_terms, den_terms)
+        assert f.neg() == RationalFunction(ring, f.num.neg(), f.den)
+        if not f.is_zero:
+            assert f.inverse() == RationalFunction(ring, f.den, f.num)
+            assert f.inverse().inverse() == f
+
+    check()
+
+
+def test_rational_neg_and_inverse_run_no_euclid(monkeypatch):
+    fs = [RF([(0, 2), (1, 3)], [(0, 1), (2, 5)]), RF([(1, Fraction(3, 4))], [(0, Fraction(2, 3)), (1, 1)])]
+    fs.append(RationalFunction.from_terms(PrimeField(10007), [(0, 3), (2, 1)], [(1, 4), (3, 2)]))
+    calls, divmod_ = [], series._divmod
+    monkeypatch.setattr(series, "_divmod", lambda *args: calls.append(None) or divmod_(*args))
+    for f in fs:
+        f.neg(), f.inverse(), f.neg().inverse()
+    assert calls == []
 
 
 def test_degree_is_the_top_listed_exponent():
