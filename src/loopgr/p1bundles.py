@@ -79,10 +79,7 @@ class ModificationDatum:
     def __post_init__(self):
         if not isinstance(self.n, int) or not 1 <= self.n <= MAX_PRECISION:
             raise DomainError(f"datum rank must be an int in [1, {MAX_PRECISION}], got {self.n!r}")
-        pts = tuple(
-            p if isinstance(p, MarkedPoint) else MarkedPoint(self.ring.of(p))
-            for p in self.points
-        )
+        pts = tuple(MarkedPoint(self.ring.of(p.r if isinstance(p, MarkedPoint) else p)) for p in self.points)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "loops", tuple(self.loops))
         if len(pts) != len(self.loops):
@@ -139,7 +136,7 @@ def modify(datum: ModificationDatum, point, g: LoopMatrix) -> ModificationDatum:
     """Add the modification g at the given point: append a new marked point,
     or compose on the right with the existing loop there."""
     ring = datum.ring
-    r = point.r if isinstance(point, MarkedPoint) else ring.of(point)
+    r = ring.of(point.r if isinstance(point, MarkedPoint) else point)
     g.ring.require_same(ring)
     if g.n != datum.n:
         raise DomainError("modification size does not match the datum rank")

@@ -4,17 +4,17 @@ Every backend works with plain immutable element representations (Fraction,
 int, tuple) and exposes the same method surface, so series and matrix code is
 generic over the backend.  No floating point anywhere.
 
-A coefficient vector is kept *packed* in ints, in one canonical form per
-backend: over GF(p) a tuple of ints in [0, p); over QQ ``(d, ints)``, meaning
-ints / d, with d > 0 and gcd(d, *ints) = 1; over k[x]/(x^m) the base's form,
-flattened (t^i x^u at index i*m + u).  No coefficient at either end is zero
-(the zero vector is ``()`` or ``(1, ())``), so equal vectors are equal tuples.
-``split(vec) -> (d, ints)`` reads one, and ``close(d, ints)`` packs raw ints:
-it cuts the zero ends and divides out the gcd or reduces mod p, once per
-coefficient.  The series kernels ``dot_vec``, one integer convolution for a
-sum of shifted products, and ``inv_vec``, the reciprocal, work on packed
-vectors only.  Over QQ the reciprocal keeps its coefficients over one running
-denominator, raised only as the result needs, so no int outgrows the result.
+A coefficient vector is kept *packed* in ints, in one form for every
+backend: ``(d, ints)``, meaning ints / d.  Over QQ d > 0 and gcd(d, *ints) =
+1; over GF(p) d = 1 and the ints lie in [0, p); over k[x]/(x^m) the base's
+form, flattened (t^i x^u at index i*m + u).  No coefficient at either end is
+zero (the zero vector is ``(1, ())`` for every backend), so equal vectors are
+equal tuples.  ``close(d, ints)`` packs raw ints: it cuts the zero ends and
+divides out the gcd or reduces mod p, once per coefficient.  The series
+kernels ``dot_vec``, one integer convolution for a sum of shifted products,
+and ``inv_vec``, the reciprocal, work on packed vectors only.  Over QQ the
+reciprocal keeps its coefficients over one running denominator, raised only
+as the result needs, so no int outgrows the result.
 """
 
 from __future__ import annotations
@@ -85,16 +85,16 @@ def _strip(ints, width) -> tuple:
     return lo, tuple(ints[lo * width : -(-hi // width) * width])
 
 
-def _one_denominator(split, terms, size, width) -> tuple:
+def _one_denominator(terms, size, width) -> tuple:
     """(d, [(offset, f, na, nb)]) for the (offset, a, b) terms with offset < size: ints cut at
     `size` coefficients, the shorter first, and f * na * nb over d, the lcm of their denominators."""
     conv, d = [], 1
-    for o, a, b in terms:
+    for o, (da, na), (db, nb) in terms:
         if o < size:
-            (da, na), (db, nb), cut = split(a), split(b), (size - o) * width
+            cut = (size - o) * width
             na, nb, dk = na[:cut], nb[:cut], da * db
             conv.append((o * width, dk, na, nb) if len(na) <= len(nb) else (o * width, dk, nb, na))
-            d = d if dk == 1 else lcm(d, dk)  # GF(p) splits every vector over 1
+            d = d if dk == 1 else lcm(d, dk)  # every GF(p) vector is over 1
     return d, conv if d == 1 else [(o, d // dk, na, nb) for o, dk, na, nb in conv]
 
 
@@ -132,6 +132,8 @@ class Ring:
     is_field = False
     name = "?"
     width = 1  # ints per coefficient of a packed vector
+    zero_vec = (1, ())  # the packed vectors of the series 0 and 1
+    one_vec = (1, (1,))
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -158,14 +160,14 @@ class Ring:
 
     def at(self, vec, i):
         """The scalar at index i >= 0 of a packed vector, zero past its end."""
-        (d, ints), w = self.split(vec), self.width
+        (d, ints), w = vec, self.width
         return (self.values(d, ints[i * w : i * w + w]) or [self.zero])[0]
 
     def dot_vec(self, terms, size: int) -> tuple:
         """close() of the first `size` coefficients of the sum of
         t^offset * a * b over the (offset, a, b) terms, a and b packed: one
         integer convolution, the body of QQ and GF(p)."""
-        d, conv = _one_denominator(self.split, terms, size, 1)
+        d, conv = _one_denominator(terms, size, 1)
         out = [0] * size
         for offset, f, na, nb in conv:
             for i, ai in enumerate(na, offset):
@@ -183,7 +185,7 @@ class Ring:
         often shares most of its digits with d, and its powers would swell far
         past the result.  A lead prime to d is not inflated, and Z_k = d c_k
         over N[0]^(k+1), c_k integers, is cheaper.  Over GF(p) q is 1."""
-        p, (d, na) = self.characteristic, self.split(vec)
+        p, (d, na) = self.characteristic, vec
         if not na or not na[0]:
             raise NonUnitLeading(f"division by zero in {self.name}")
         a0, g = na[0], gcd(na[0], d)
@@ -236,7 +238,6 @@ class RationalField(Ring):
     characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
-    one_vec = (1, (1,))  # the packed vector of the series 1
 
     def of(self, x) -> Fraction:
         if isinstance(x, Fraction):
@@ -263,10 +264,6 @@ class RationalField(Ring):
         if not a:
             raise NonUnitLeading("division by zero in QQ")
         return 1 / a
-
-    @staticmethod
-    def split(vec) -> tuple:
-        return vec
 
     @staticmethod
     def close(d, ints, width=1) -> tuple:
@@ -323,7 +320,6 @@ class PrimeField(Ring):
         self.characteristic = p
         self.zero = 0
         self.one = 1 % p
-        self.one_vec = (1,)
 
     def of(self, x) -> int:
         if isinstance(x, int):
@@ -348,13 +344,10 @@ class PrimeField(Ring):
             raise NonUnitLeading(f"division by zero in {self.name}")
         return pow(a, self.p - 2, self.p)
 
-    @staticmethod
-    def split(vec) -> tuple:
-        return 1, vec
-
     def close(self, d, ints, width=1) -> tuple:
         p, r = self.p, 1 if d == 1 else pow(d, -1, self.p)  # r = 1 for every sum of products
-        return _strip([c * r % p for c in ints] if r != 1 else [c % p for c in ints], width)
+        lo, ints = _strip([c * r % p for c in ints] if r != 1 else [c % p for c in ints], width)
+        return lo, (1, ints)
 
     @staticmethod
     def numerators(values) -> tuple:
@@ -365,8 +358,8 @@ class PrimeField(Ring):
         return list(ints)
 
     @staticmethod
-    def at(vec, i):  # indexes the tuple: section counting reads every entry this way
-        return vec[i] if i < len(vec) else 0
+    def at(vec, i):  # indexes the ints: section counting reads every entry this way
+        return vec[1][i] if i < len(vec[1]) else 0
 
     def parse(self, s: str) -> int:
         return self.of(QQ.parse(s))
@@ -400,13 +393,12 @@ class ArtinianRing(Ring):
             )
         self.base = base
         self.m = self.width = m
-        self.split = base.split  # a packed vector is the base's, flattened
         self.name = f"{base.name}[x]/(x^{m})"
         self.key = ("artinian", base, m)
         self.characteristic = base.characteristic
         self.zero = (base.zero,) * m
         self.one = (base.one,) + (base.zero,) * (m - 1)
-        self.one_vec = self._pack(self.one)
+        self.one_vec = self._pack(self.one)  # _strip keeps whole blocks: m ints
 
     def of(self, x) -> tuple:
         if isinstance(x, (list, tuple)):
@@ -473,7 +465,7 @@ class ArtinianRing(Ring):
         # reach m, so no product of x-degree m or more is formed; a run over b
         # stops at the t-cut.
         m = self.m
-        d, conv = _one_denominator(self.split, terms, size, m)
+        d, conv = _one_denominator(terms, size, m)
         end = size * m
         out = [0] * end
         for offset, f, na, nb in conv:
@@ -494,7 +486,7 @@ class ArtinianRing(Ring):
         # Power-series reciprocal truncated at x^m; needs a unit residue.
         if not self.is_unit(a):
             raise NonUnitLeading(f"constant term is not a unit in {self.name}")
-        cs = self.base.values(*self.split(self.base.inv_vec(self._pack(a), self.m)[1]))
+        cs = self.base.values(*self.base.inv_vec(self._pack(a), self.m)[1])
         return tuple(cs) + (self.base.zero,) * (self.m - len(cs))
 
     def inv_vec(self, vec, length: int) -> tuple:
@@ -502,7 +494,7 @@ class ArtinianRing(Ring):
         # base kernel's reciprocal of a's first block, a series in x, and
         # C_k = sum_i Q_i C_(k-i) with Q_i = -C_0 a_i, each a dot_vec of size 1
         # normalized on its own; one more dot_vec puts them over one denominator.
-        m, (d, ints) = self.m, self.split(vec)
+        m, (d, ints) = self.m, vec
         cs = [self.base.inv_vec(self.close(d, ints[:m])[1], m)[1]]
         blocks = [self.close(-d, ints[i * m : i * m + m])[1] for i in range(1, min(length, len(ints) // m))]
         q = [self.dot_vec([(0, cs[0], a)], 1)[1] for a in blocks]  # close(-d, ints) negates

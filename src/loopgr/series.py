@@ -95,7 +95,7 @@ class LaurentSeries:
         an exact Laurent polynomial."""
         terms = [(int(e), ring.of(c)) for e, c in terms]
         if not terms:
-            return cls.make(ring, 0, (), known_end)
+            return cls.zero(ring, known_end)
         at = {}  # a coefficient is placed as it is, and added only to a repeated exponent
         for e, c in terms:
             at[e] = ring.add(at[e], c) if e in at else c
@@ -104,7 +104,7 @@ class LaurentSeries:
 
     @classmethod
     def zero(cls, ring, known_end=None) -> "LaurentSeries":
-        return cls.make(ring, 0, (), known_end)
+        return cls(ring, known_end or 0, ring.zero_vec, known_end)
 
     @classmethod
     def one(cls, ring) -> "LaurentSeries":
@@ -122,7 +122,7 @@ class LaurentSeries:
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(self.ring.values(*self.ring.split(self.vec)))
+        return tuple(self.ring.values(*self.vec))
 
     @property
     def is_exact(self) -> bool:
@@ -130,15 +130,15 @@ class LaurentSeries:
 
     @property
     def is_exact_zero(self) -> bool:
-        return self.known_end is None and not self.ring.split(self.vec)[1]
+        return self.known_end is None and not self.vec[1]
 
     @property
     def is_zero_to_precision(self) -> bool:
-        return not self.ring.split(self.vec)[1]
+        return not self.vec[1]
 
     def has_unit_lead(self) -> bool:
         """A first listed coefficient exists, and its residue is nonzero."""
-        ints = self.ring.split(self.vec)[1]
+        ints = self.vec[1]
         return bool(ints) and bool(ints[0])
 
     @property
@@ -150,7 +150,7 @@ class LaurentSeries:
     @property
     def degree(self) -> int | None:
         """Greatest exponent with a listed coefficient, None if none."""
-        ints = self.ring.split(self.vec)[1]
+        ints = self.vec[1]
         return self.shift + len(ints) // self.ring.width - 1 if ints else None
 
     def valuation_lower_bound(self) -> int | None:
@@ -183,7 +183,7 @@ class LaurentSeries:
         return _dot(((self, one), (other, one)))
 
     def neg(self) -> "LaurentSeries":
-        d, ints = self.ring.split(self.vec)
+        d, ints = self.vec
         return LaurentSeries(self.ring, self.shift, self.ring.close(-d, ints)[1], self.known_end)
 
     def sub(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -213,12 +213,12 @@ class LaurentSeries:
         zero operand adds nothing, not even a window.  mul and add run this
         body too, as _dot."""
         ring = pairs[0][0].ring
-        split, width = ring.split, ring.width
+        width = ring.width
         end, terms, lo, hi = None, [], None, None
         for a, b in pairs:
             if a.ring is not ring or b.ring is not ring:  # equal backends may be two objects
                 ring.require_same(a.ring), ring.require_same(b.ring)
-            na, nb = split(a.vec)[1], split(b.vec)[1]
+            na, nb = a.vec[1], b.vec[1]
             # product_end, inline: va and vb are the valuation lower bounds
             va, vb = a.shift if na else a.known_end, b.shift if nb else b.known_end
             if va is None or vb is None:  # an exactly zero operand
@@ -230,7 +230,7 @@ class LaurentSeries:
                 terms.append((s, a.vec, b.vec))
                 lo, hi = (s, top) if lo is None else (min(lo, s), max(hi, top))
         if not terms:
-            return LaurentSeries.make(ring, 0, (), end)
+            return LaurentSeries.zero(ring, end)
         hi = hi if end is None else max(min(hi, end), lo)
         return _series(ring, lo, ring.dot_vec([(s - lo, a, b) for s, a, b in terms], hi - lo), end)
 
@@ -248,7 +248,7 @@ class LaurentSeries:
         input yields an exact monomial inverse or a series truncated at
         `precision` (default 16; at least 1)."""
         _require_working_precision(precision)
-        ring, ints = self.ring, self.ring.split(self.vec)[1]
+        ring, ints = self.ring, self.vec[1]
         if not ints:
             raise ZeroToPrecision("cannot invert a series that is zero on its known window")
         if not ints[0]:
@@ -266,7 +266,7 @@ class LaurentSeries:
         exact in the Laurent polynomial ring, the quotient stays exact."""
         if self.is_exact and other.is_exact and not other.is_zero_to_precision:
             if self.is_exact_zero:
-                return LaurentSeries.make(self.ring, 0, (), None)
+                return LaurentSeries.zero(self.ring)
             den = other.coeffs
             if self.ring.is_unit(den[-1]):
                 q, r = _divmod(self.ring, self.coeffs, den)
@@ -280,7 +280,7 @@ class LaurentSeries:
         end = _min_end(self.known_end, known_end)
         if end == self.known_end:
             return self
-        d, ints = self.ring.split(self.vec)
+        d, ints = self.vec
         cut = None if end is None else max(0, end - self.shift) * self.ring.width
         return _series(self.ring, self.shift, self.ring.close(d, ints[:cut]), end)
 
@@ -291,7 +291,7 @@ class LaurentSeries:
     def lifted(self, ring) -> "LaurentSeries":
         """The constant lift to ring = k[x]/(x^m): map_coefficients(ring.from_base, ring), on ints."""
         ring.base.require_same(self.ring)
-        d, ints = ring.split(self.vec)
+        d, ints = self.vec
         lift = [x for c in ints for x in (c,) + (0,) * (ring.m - 1)]
         return _series(ring, self.shift, ring.close(d, lift), self.known_end)
 
@@ -366,7 +366,7 @@ class RationalFunction:
         if den.degree:
             # Euclid on coefficient lists, up to a constant remainder: the gcd
             # is then 1.  gcd(0, den) is den, so zero gets the denominator 1
-            polys = [[ring.zero] * p.shift + ring.values(*ring.split(p.vec)) for p in (num, den)]
+            polys = [[ring.zero] * p.shift + ring.values(*p.vec) for p in (num, den)]
             a, b = polys
             while len(b) > 1:
                 a, b = b, _divmod(ring, a, b)[1]
@@ -430,8 +430,14 @@ class RationalFunction:
         return _translated(self.num, r).div(_translated(self.den, r), precision)
 
     def pole_order_at(self, r) -> int:
-        """Order of the pole at t = r (0 when regular there)."""
-        return _translated(self.den, self.ring.of(r)).valuation
+        """Order of the pole at t = r (0 when regular there): how many times
+        t - r divides the denominator, one synthetic division each."""
+        ring, order = self.ring, 0
+        root = [ring.neg(ring.of(r)), ring.one]
+        q, rem = _divmod(ring, [ring.zero] * self.den.shift + ring.values(*self.den.vec), root)
+        while not rem:
+            order, (q, rem) = order + 1, _divmod(ring, q, root)
+        return order
 
     def __eq__(self, other):
         return (
@@ -452,7 +458,7 @@ class RationalFunction:
 
 def _monic(ring, num, den) -> tuple:
     """(num, den) scaled by d over den's top int, packed, so that den is monic."""
-    (dn, ns), (d, ds) = ring.split(num.vec), ring.split(den.vec)
+    (dn, ns), (d, ds) = num.vec, den.vec
     if ds[-1] == d:
         return num, den
     num = _series(ring, num.shift, ring.close(dn * ds[-1], [c * d for c in ns]), None)
@@ -463,7 +469,7 @@ def _translated(p: LaurentSeries, r) -> LaurentSeries:
     """The exact polynomial p(t + r) over a field backend, by Horner's rule
     from the top coefficient down to t^0: one dot per coefficient below the
     top."""
-    ring, (d, ints) = p.ring, p.ring.split(p.vec)
+    ring, (d, ints) = p.ring, p.vec
     if not ints:
         return p
     one, lin = LaurentSeries.one(ring), LaurentSeries.make(ring, 0, (r, ring.one), None)

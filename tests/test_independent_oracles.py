@@ -7,6 +7,9 @@ elementary divisor exponents of g over k[[t]], read in ascending order: the
 stratum reversed.  `stratum` must give them on the exact loop, and every
 answer it gives on a truncation of that loop must be the same.  The
 determinant of g is sympy's determinant of t^N g divided by t^(nN).
+
+Rational functions are checked against sympy's `cancel` (lowest terms, the
+denominator made monic) and `series` (the expansion at a center).
 """
 
 import random
@@ -14,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopgr import QQ, LoopMatrix, PrimeField, random_loop, stratum
+from loopgr import QQ, LoopMatrix, PrimeField, RationalFunction, random_loop, stratum
 from loopgr.errors import InsufficientPrecision, SingularToPrecision
 
 sympy = pytest.importorskip("sympy")
@@ -98,3 +101,83 @@ def test_det_matches_sympy_determinant(ring, n):
         d = g.det()
         assert d.is_exact
         assert {e: c for e, c in enumerate(d.coeffs, d.shift) if c} == sympy_det(g)
+
+
+T = sympy.Symbol("t")
+
+
+def _sympy_poly(coeffs, ring):
+    """The polynomial sum c_e t^e of loopgr scalars as a sympy Poly over QQ
+    or, through its modulus, over GF(p)."""
+    expr = sum((sympy.Rational(str(c)) * T**e for e, c in enumerate(coeffs)), sympy.Integer(0))
+    return sympy.Poly(expr, T, **({"domain": sympy.QQ} if ring == QQ else {"modulus": ring.p}))
+
+
+def _terms(poly, ring):
+    """{exponent: scalar} of a sympy Poly, its zero terms left out."""
+    if ring == QQ:
+        return {m: Fraction(int(c.p), int(c.q)) for (m,), c in poly.terms() if c}
+    return {m: int(c) % ring.p for (m,), c in poly.terms() if int(c) % ring.p}
+
+
+def _exact_terms(s):
+    return {e: c for e, c in enumerate(s.coeffs, s.shift) if c}
+
+
+def _sympy_reduced(num, den, ring):
+    """(numerator, monic denominator) of num/den in lowest terms, by sympy."""
+    p, q = num.cancel(den, include=True)
+    return _terms(p.exquo_ground(q.LC()), ring), _terms(q.monic(), ring)
+
+
+def _from_sympy(num, den, ring):
+    return RationalFunction.from_terms(ring, _terms(num, ring).items(), _terms(den, ring).items())
+
+
+def _random_poly(ring, rng, degree):
+    """A sympy Poly of the given degree with small random coefficients."""
+    return _sympy_poly([ring.random(rng) for _ in range(degree)] + [ring.random_unit(rng)], ring)
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(10007)], ids=str)
+def test_rational_functions_match_sympy_cancel(ring):
+    # numerator a*c and denominator b*c share the factor c, so every input
+    # is reduced; the sums and products are reduced from sympy's own inputs
+    rng = random.Random(f"sympy-cancel:{ring.key}")
+    for _ in range(12):
+        raw = []
+        for _ in range(2):
+            a, b, c = (_random_poly(ring, rng, rng.randint(0, 3)) for _ in range(3))
+            raw.append((a * c, b * c))
+        (fn, fd), (gn, gd) = raw
+        f, g = (_from_sympy(n, d, ring) for n, d in raw)
+        for got, (num, den) in [
+            (f, (fn, fd)),
+            (f.add(g), (fn * gd + gn * fd, fd * gd)),
+            (f.mul(g), (fn * gn, fd * gd)),
+            (f.inverse(), (fd, fn)),
+        ]:
+            assert (_exact_terms(got.num), _exact_terms(got.den)) == _sympy_reduced(num, den, ring)
+
+
+def test_expand_at_matches_sympy_series():
+    # f has a pole of order k at r; it is expanded there and at a regular
+    # center, and every coefficient on the certified window is sympy's, the
+    # valuation included
+    rng = random.Random("sympy-series")
+    for k in (1, 2, 3):
+        r = QQ.random(rng)
+        num, rest = _random_poly(QQ, rng, 2), _random_poly(QQ, rng, 1)
+        num, rest = (p + 1 if p.eval(sympy.Rational(str(r))) == 0 else p for p in (num, rest))  # order k
+        den = rest * sympy.Poly((T - sympy.Rational(str(r))) ** k, T, domain=sympy.QQ)
+        f = _from_sympy(num, den, QQ)
+        regular = r + 1 if den.eval(sympy.Rational(str(r + 1))) != 0 else r + 2
+        for center in (r, regular):
+            s = f.expand_at(center, 6)
+            end = s.degree + 3 if s.is_exact else s.known_end
+            assert s.is_exact or end - s.shift >= 6
+            shifted = (num.as_expr() / den.as_expr()).subs(T, T + sympy.Rational(str(center)))
+            series = sympy.expand(sympy.series(shifted, T, 0, end).removeO() * T**k)  # no pole past t^-k
+            want = _terms(sympy.Poly(series, T, domain=sympy.QQ), QQ)
+            assert _exact_terms(s) == {e - k: c for e, c in want.items()}
+        assert f.expand_at(r, 6).valuation == -k

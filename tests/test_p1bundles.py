@@ -408,6 +408,21 @@ def test_modify_append_and_compose():
     assert splitting_type(d3) == splitting_type(d1)
 
 
+def test_marked_point_values_are_coerced_into_the_ring():
+    # a MarkedPoint's value is read through ring.of, as a bare value is: -1
+    # and 6 are one point of GF(7), and a float is no point of QQ
+    F = PrimeField(7)
+    a = monomial_loop(F, (-1, 1))
+    d = ModificationDatum(F, 2, (MarkedPoint(-1),), (a,))
+    assert d.points == (MarkedPoint(6),)
+    for point in (6, MarkedPoint(-1)):
+        composed = modify(d, point, a)
+        assert composed.points == (MarkedPoint(6),)
+        assert splitting_type(composed).a == (2, -2)
+    with pytest.raises(DomainError, match="cannot coerce 0.5 into QQ"):
+        ModificationDatum(QQ, 1, (MarkedPoint(0.5),), (LoopMatrix.identity(QQ, 1),))
+
+
 def test_marked_points_need_unit_differences():
     from loopgr import ArtinianRing
 

@@ -144,7 +144,7 @@ def _scalars(ring, closed, size):
     """The first `size` scalars of a kernel's (lo, vec), its cut zeros put back."""
     lo, vec = closed
     _check_canonical(ring, closed)
-    cs = [ring.zero] * (lo or 0) + ring.values(*ring.split(vec))
+    cs = [ring.zero] * (lo or 0) + ring.values(*vec)
     assert len(cs) <= size
     return cs + [ring.zero] * (size - len(cs))
 
@@ -153,11 +153,24 @@ def _check_canonical(ring, closed):
     """A kernel's (lo, vec) is what close() makes of its own scalars: the
     one packed form, in ints of the backend's range."""
     lo, vec = closed
-    assert _packed(ring, ring.values(*ring.split(vec))) == (None if lo is None else 0, vec)
-    d, ints = ring.split(vec)
+    assert _packed(ring, ring.values(*vec)) == (None if lo is None else 0, vec)
+    d, ints = vec
     assert type(d) is int and d > 0 and all(type(c) is int for c in ints)
     base = ring.base if isinstance(ring, ArtinianRing) else ring
-    assert isinstance(vec, tuple) and (base is QQ or (d == 1 and all(0 <= c < base.p for c in vec)))
+    assert isinstance(vec, tuple) and (base is QQ or (d == 1 and all(0 <= c < base.p for c in ints)))
+
+
+# one packed form for every backend, d = 1 over GF(p)
+_FORMAT_RINGS = [QQ, PrimeField(10007), PrimeField(7), ArtinianRing(QQ, 3), ArtinianRing(PrimeField(7), 2)]
+
+
+@pytest.mark.parametrize("ring", _FORMAT_RINGS, ids=lambda r: r.name)
+def test_zero_and_one_vectors_are_what_close_packs(ring):
+    assert ring.zero_vec == _packed(ring, [])[1]
+    assert ring.one_vec == _packed(ring, [ring.one])[1]
+    for vec in (ring.zero_vec, ring.one_vec):
+        _check_canonical(ring, (0 if vec[1] else None, vec))
+    assert not hasattr(ring, "split")  # every reader unpacks (d, ints) itself
 
 
 def _kernel_dot(ring, terms, size):

@@ -402,13 +402,25 @@ def _canonical(s):
     """s has the one packed form: make from its scalars gives the same vector."""
     remade = LaurentSeries.make(s.ring, s.shift, s.coeffs, s.known_end)
     assert remade.vec == s.vec and remade == s and hash(remade) == hash(s)
-    d, ints = s.ring.split(s.vec)
+    d, ints = s.vec
     base = s.ring.base if isinstance(s.ring, ArtinianRing) else s.ring
     assert d > 0 and len(ints) % s.ring.width == 0
     assert all(0 <= c < base.p for c in ints) if base is not QQ else math.gcd(d, *ints) == 1
     if ints:  # no zero coefficient at either end
         w = s.ring.width
         assert any(ints[:w]) and any(ints[-w:])
+
+
+@pytest.mark.parametrize("end", [None, -2, 0, 3])
+@pytest.mark.parametrize(
+    "ring",
+    [QQ, PrimeField(10007), PrimeField(7), ArtinianRing(QQ, 3), ArtinianRing(PrimeField(7), 2)],
+    ids=lambda r: r.name,
+)
+def test_zero_is_the_packed_zero_of_make(ring, end):
+    z, made = LaurentSeries.zero(ring, end), LaurentSeries.make(ring, 0, (), end)
+    assert (z.shift, z.vec, z.known_end, hash(z)) == (made.shift, made.vec, made.known_end, hash(made))
+    assert z == made and z.vec == ring.zero_vec
 
 
 _PACKED_RINGS = [QQ, PrimeField(10007)] + [
