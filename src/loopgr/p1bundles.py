@@ -79,7 +79,10 @@ class ModificationDatum:
     def __post_init__(self):
         if not isinstance(self.n, int) or not 1 <= self.n <= MAX_PRECISION:
             raise DomainError(f"datum rank must be an int in [1, {MAX_PRECISION}], got {self.n!r}")
-        pts = tuple(MarkedPoint(self.ring.of(p.r if isinstance(p, MarkedPoint) else p)) for p in self.points)
+        pts = tuple(
+            MarkedPoint(self.ring.of(p.r if isinstance(p, MarkedPoint) else p))
+            for p in self.points
+        )
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "loops", tuple(self.loops))
         if len(pts) != len(self.loops):

@@ -430,14 +430,8 @@ class RationalFunction:
         return _translated(self.num, r).div(_translated(self.den, r), precision)
 
     def pole_order_at(self, r) -> int:
-        """Order of the pole at t = r (0 when regular there): how many times
-        t - r divides the denominator, one synthetic division each."""
-        ring, order = self.ring, 0
-        root = [ring.neg(ring.of(r)), ring.one]
-        q, rem = _divmod(ring, [ring.zero] * self.den.shift + ring.values(*self.den.vec), root)
-        while not rem:
-            order, (q, rem) = order + 1, _divmod(ring, q, root)
-        return order
+        """Order of the pole at t = r (0 when regular there)."""
+        return _translated(self.den, self.ring.of(r)).valuation
 
     def __eq__(self, other):
         return (
