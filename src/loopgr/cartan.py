@@ -16,7 +16,9 @@ the elimination zeroes is a window only, with no product formed: the scaled
 pivot is t^val, each entry below it becomes zero, and a column update adds
 that zero times q, so it only shortens the window, each to the end its
 product would certify (``LaurentSeries.product_end``).  The last pivot
-scales nothing that is read again and is not inverted.
+scales nothing that is read again and is not inverted.  The precision sets
+only the length of an exact pivot's inverse; for ``stratum`` it is the most
+the elimination may use, and lam does not depend on it.
 
 The pivots are the certificate.  Each pivot is an entry of least valuation in
 the remaining block with a unit lead, and no entry that is zero only on its
@@ -38,7 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InsufficientPrecision
+from .errors import DEFAULT_PRECISION, DomainError, InsufficientPrecision
+from .errors import PrecisionError, SingularToPrecision
 from .loops import LoopMatrix, _min_valuation_pivot
 from .series import LaurentSeries, _require_working_precision
 
@@ -215,7 +218,16 @@ def _certify(fact, precision):
 
 
 def stratum(a: LoopMatrix, precision: int | None = None) -> Cocharacter:
-    """The dominant cocharacter of the double coset containing the loop."""
+    """The dominant cocharacter of the double coset containing the loop.  The
+    precision (16 when None) is the most the elimination may use; lam does not
+    depend on it, and an exact loop is reduced at a quarter, then half, of it first."""
+    cap = DEFAULT_PRECISION if precision is None else precision
+    if cap >= 4 and all(e.is_exact for r in a.rows for e in r):
+        for p in (cap >> 2, cap >> 1):
+            try:
+                return smith_normal_form(a, p).cocharacter
+            except (PrecisionError, SingularToPrecision):
+                pass
     return smith_normal_form(a, precision).cocharacter
 
 

@@ -28,9 +28,10 @@ from loopgr import (
     stratum,
     transpose_inverse,
 )
-from loopgr import loops
+from loopgr import cartan, loops
+from loopgr.cartan import CoarseStratum
 from loopgr.factorization import ElementaryFactor, Factorization
-from loopgr.errors import DomainError, PrecisionError, SingularToPrecision
+from loopgr.errors import DomainError, InsufficientPrecision, PrecisionError, SingularToPrecision
 
 from conftest import minors_stratum_oracle
 
@@ -329,3 +330,78 @@ def test_stratum_counts_match_cartan_cell_sizes(q, n, bound):
     assert len(inner) == math.comb(n + 2 * bound, n)
     for lam in inner:
         assert tally[lam] == _cell_size(lam, q), lam
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PrecisionError, SingularToPrecision) as e:
+        return type(e), str(e), e.suggested_precision
+
+
+def _stratum_corpus():
+    # exact and truncated loops over QQ and two prime fields: each random loop
+    # as is, conjugated by positive loops, truncated at one end and truncated
+    # entry by entry
+    for ring in (QQ, PrimeField(10007), PrimeField(7)):
+        for n in range(2, 6):
+            for pole in (1, 2):
+                for seed in range(2):
+                    a = random_loop(n, pole, seed, ring)
+                    conj = mat_mul(mat_mul(random_positive(n, seed + 10, ring), a), random_positive(n, seed + 20, ring))
+                    rng = random.Random(f"corpus:{ring.key}:{n}:{pole}:{seed}")
+                    end = rng.randint(1, 6)
+                    yield a
+                    yield conj
+                    yield LoopMatrix([[e.truncated(end) for e in r] for r in a.rows])
+                    yield LoopMatrix([[e.truncated(rng.randint(-2, 8)) for e in r] for r in conj.rows])
+
+
+def test_stratum_is_the_cocharacter_of_smith_normal_form_at_the_same_precision():
+    # stratum may reduce an exact loop at shorter precisions first, but its
+    # answer or error is always that of smith_normal_form at the precision given
+    outcomes = collections.Counter()
+    for loop in _stratum_corpus():
+        for p in (None, 1, 2, 3, 4, 8, 16, 32):
+            want = _outcome(lambda: smith_normal_form(loop, p).cocharacter)
+            assert _outcome(stratum, loop, p) == want
+            if isinstance(want, Cocharacter):
+                assert coarse_stratum(loop, p) == CoarseStratum.of(want)
+            outcomes[type(want) if isinstance(want, Cocharacter) else want[0]] += 1
+    assert set(outcomes) == {Cocharacter, InsufficientPrecision, SingularToPrecision}
+
+
+def _count_smith_normal_form_calls(monkeypatch):
+    calls, snf = [], cartan.smith_normal_form
+
+    def counted(loop, p=None):
+        calls.append(p)
+        return snf(loop, p)
+
+    monkeypatch.setattr(cartan, "smith_normal_form", counted)
+    return calls
+
+
+def test_stratum_escalates_to_the_precision_given_and_no_further(monkeypatch):
+    a = mat_mul(mat_mul(random_positive(2, 1), monomial_loop(QQ, (5, -5))), random_positive(2, 2))
+    for p in (4, 8):
+        with pytest.raises(SingularToPrecision):
+            smith_normal_form(a, p)
+    assert _outcome(stratum, a, 8) == _outcome(smith_normal_form, a, 8)
+    assert stratum(a, 32).entries == (5, -5)
+    calls = _count_smith_normal_form_calls(monkeypatch)
+    assert stratum(a).entries == (5, -5)
+    assert calls == [4, 8, None]
+
+
+@pytest.mark.parametrize("truncate, precision", [(True, None), (True, 32), (False, 3)])
+def test_stratum_reduces_once_a_truncated_loop_or_below_precision_four(monkeypatch, truncate, precision):
+    a = random_loop(3, 2, 3)
+    lam = a.built_from
+    if truncate:  # one truncated entry bounds the windows whatever the precision
+        rows = [list(r) for r in a.rows]
+        rows[1][2] = rows[1][2].truncated(rows[1][2].shift + 12)
+        a = LoopMatrix(rows)
+    calls = _count_smith_normal_form_calls(monkeypatch)
+    assert stratum(a, precision).entries == lam
+    assert calls == [precision]
