@@ -17,6 +17,7 @@ type sorted(-lam).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .cartan import Cocharacter, stratum
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .loops import LoopMatrix
 from .rings import Ring, echelon_insert
-from .series import DEFAULT_PRECISION, LaurentSeries, RationalFunction
+from .series import DEFAULT_PRECISION, LaurentSeries, RationalFunction, _translated
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,9 @@ def _section_counts(datum: ModificationDatum, low: int, high: int, precision) ->
     is the unknown of degree k in component d, so twist m reads a prefix of
     n(m + B + 1) columns.  The finite-point rows, independent of m, are built
     once at the top twist, and each lower twist adds its n rows at s^(-m-1) at
-    infinity.  h0(m) is the prefix width less the leading columns inside it."""
+    infinity.  h0(m) is the prefix width less the leading columns inside it.
+    Every place reads the expansion of one 1/den, den = prod_j (t - r_j)^{N_j}:
+    den translated to the marked point, or reversed at infinity."""
     ring = datum.ring
     n = datum.n
     bounds, binf = _pole_bounds(datum, precision)
@@ -211,30 +214,23 @@ def _section_counts(datum: ModificationDatum, low: int, high: int, precision) ->
     if top < -bound:
         return [0] * (high - low + 1)
     work = precision or DEFAULT_PRECISION
+    factors = [_translated(LaurentSeries.t_power(ring, nq), ring.neg(q.r)) for q, nq in zip(datum.points, bounds)]
+    den = reduce(LaurentSeries.mul, factors) if factors else LaurentSeries.one(ring)
     rows = []
     for i, (p, nb) in enumerate(zip(datum.points, bounds)):
         if nb == 0:
             continue
-        # t^k / prod_j (t - r_j)^{N_j} at r_i is (t + r_i)^k * local, where
-        # local = t^{-N_i} / prod_{j != i} (t + r_i - r_j)^{N_j}
-        others = [
-            (LaurentSeries.from_terms(ring, [(0, ring.sub(p.r, q.r)), (1, ring.one)]), nq)
-            for j, (q, nq) in enumerate(zip(datum.points, bounds))
-            if j != i
-        ]
-        local = _reciprocal(ring, others, 2 * nb + 2).shifted(-nb)
+        # t^k / den at r_i is (t + r_i)^k / den(t + r_i), of valuation -N_i
+        local = _translated(den, p.r).invert(2 * nb + 2)
         lin = LaurentSeries.from_terms(ring, [(0, p.r), (1, ring.one)])
         alpha_inv = datum.loops[i].inverse(max(work, 2 * nb + 2))
         exps = range(-2 * nb, 0)
         rows += _condition_rows(ring, alpha_inv, local, lin, top + bound + 1, exps, precision)
     if datum.infinity_loop is not None:
-        # in s = 1/t, t^k / prod_j (t - r_j)^{N_j} is
-        # s^total / prod_j (1 - r_j s)^{N_j} times s^(-k)
-        factors = [
-            (LaurentSeries.from_terms(ring, [(0, ring.one), (1, ring.neg(q.r))]), nq)
-            for q, nq in zip(datum.points, bounds)
-        ]
-        inf_local = _reciprocal(ring, factors, 2 * binf + 4).shifted(total)
+        # in s = 1/t, t^k / den is s^(total - k) / prod_j (1 - r_j s)^{N_j}: den's
+        # ints reversed, as den is monic of degree total (a point at 0 gives 1)
+        d, ints = den.vec
+        inf_local = LaurentSeries(ring, 0, (d, ints[::-1]), None).invert(2 * binf + 4).shifted(total)
         s_inv = LaurentSeries.t_power(ring, -1)
         window = 2 * binf + max(abs(bottom), abs(top)) + 2
         inf_inv = datum.infinity_loop.inverse(max(work, window))
@@ -253,17 +249,6 @@ def _section_counts(datum: ModificationDatum, low: int, high: int, precision) ->
             led += echelon_insert(ring, pivots, row)
         rows, counts[m] = [], size - led
     return [counts.get(min(m, bound), 0) + n * max(0, m - bound) for m in range(low, high + 1)]
-
-
-def _reciprocal(ring, factors, window):
-    """Expansion at 0 of 1 / prod f^k over the (exact series f, power k)
-    pairs in `factors`; f(0) must be a unit.  Exact when the product is
-    constant, else on a window of length `window`."""
-    prod = LaurentSeries.one(ring)
-    for f, k in factors:
-        for _ in range(k):
-            prod = prod.mul(f)
-    return prod.invert(window)
 
 
 def _condition_rows(ring, alpha_inv, base, step, width, exps, precision):

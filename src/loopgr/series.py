@@ -347,8 +347,8 @@ class RationalFunction:
 
     num and den are exact series of valuation >= 0, that is polynomials.
     Canonical form: gcd(num, den) = 1 and den monic, so equality is
-    structural.  Expansion around any center, and around infinity in the
-    coordinate s = 1/t, produces Laurent series with certified windows.
+    structural.  Expansion around any finite center produces a Laurent
+    series with a certified window.
     """
 
     __slots__ = ("ring", "num", "den")
@@ -461,17 +461,18 @@ def _monic(ring, num, den) -> tuple:
 
 def _translated(p: LaurentSeries, r) -> LaurentSeries:
     """The exact polynomial p(t + r) over a field backend, by Horner's rule
-    from the top coefficient down to t^0: one dot per coefficient below the
-    top."""
+    on the packed ints: with r = rn/rd and p = sum c_k t^k / d of degree K,
+    h <- h*(rd*t + rn) + c_k*rd^(K+1-k) from h = 0 and k = K down to 0 ends
+    at p(t + r) times d*rd^(K+1).  Over GF(p) every step reduces mod p."""
     ring, (d, ints) = p.ring, p.vec
-    if not ints:
-        return p
-    one, lin = LaurentSeries.one(ring), LaurentSeries.make(ring, 0, (r, ring.one), None)
-    cs = [_series(ring, 0, ring.close(d, (c,)), None) for c in [0] * p.shift + list(ints)]
-    out = cs.pop()
-    for c in reversed(cs):
-        out = _dot(((out, lin), (c, one)))
-    return out
+    q = ring.characteristic
+    rn, rd = (r, 1) if q else r.as_integer_ratio()
+    h, scale = [], 1
+    for c in reversed([0] * p.shift + list(ints)):
+        low, scale = [c * scale] + h, scale * rd  # rd * low[0] is c_k*rd^(K+1-k)
+        pairs = zip(h + [0], low)
+        h = [(rn * x + rd * y) % q for x, y in pairs] if q else [rn * x + rd * y for x, y in pairs]
+    return _series(ring, 0, ring.close(d * scale, h), None)
 
 
 def expand_shift(f: RationalFunction, r, precision: int | None = None) -> LaurentSeries:

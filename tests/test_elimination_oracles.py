@@ -24,7 +24,10 @@ builds the rows of the top twist first.  The row builder it first used is
 kept too: it multiplies each loop entry by a list of basis series, one
 diagonal sum per row entry, where `_condition_rows` forms one
 `LaurentSeries.mul` product per entry and steps it; their rows must agree
-scalar for scalar, and their errors as the per-twist ones do.
+scalar for scalar, and their errors as the per-twist ones do.  Both expand
+1/prod_j (t - r_j)^{N_j} at each place as the product of its linear factors
+(`_reciprocal` below), where the library translates and reverses one
+denominator.
 
 `factor_elementary` applies the premultiplication by E21(1) as one row
 operation and goes straight to the three-factor identity.  The oracle below is
@@ -73,7 +76,7 @@ from loopgr.errors import (
     SingularToPrecision,
 )
 from loopgr.loops import _least_valuation, elementary_loop
-from loopgr.p1bundles import _condition_rows, _pole_bounds, _reciprocal
+from loopgr.p1bundles import _condition_rows, _pole_bounds
 from loopgr.series import DEFAULT_PRECISION
 
 # -- the oracles ---------------------------------------------------------------
@@ -233,6 +236,19 @@ def product_coefficient(ring, a, b, e, precision):
     for i in range(lo, hi + 1):
         acc = ring.add(acc, ring.mul(a.coeffs[i - a.shift], b.coeffs[e - i - b.shift]))
     return acc
+
+
+def _reciprocal(ring, factors, window):
+    """Expansion at 0 of 1 / prod f^k over the (exact series f, power k)
+    pairs in `factors`, as the per-factor product it is by definition: the
+    library expands one translated and reversed denominator instead.
+    Exact when the product is constant, else on a window of length
+    `window`."""
+    prod = LaurentSeries.one(ring)
+    for f, k in factors:
+        for _ in range(k):
+            prod = prod.mul(f)
+    return prod.invert(window)
 
 
 def per_twist_h0(datum, m, precision=None):

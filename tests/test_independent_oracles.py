@@ -9,7 +9,8 @@ answer it gives on a truncation of that loop must be the same.  The
 determinant of g is sympy's determinant of t^N g divided by t^(nN).
 
 Rational functions are checked against sympy's `cancel` (lowest terms, the
-denominator made monic) and `series` (the expansion at a center).
+denominator made monic) and `series` (the expansion at a center), and the
+translation p(t + r) behind every expansion against sympy's `Poly.shift`.
 """
 
 import random
@@ -17,8 +18,9 @@ from fractions import Fraction
 
 import pytest
 
-from loopgr import QQ, LoopMatrix, PrimeField, RationalFunction, random_loop, stratum
+from loopgr import QQ, LaurentSeries, LoopMatrix, PrimeField, RationalFunction, random_loop, stratum
 from loopgr.errors import InsufficientPrecision, SingularToPrecision
+from loopgr.series import _translated
 
 sympy = pytest.importorskip("sympy")
 normalforms = pytest.importorskip("sympy.matrices.normalforms")
@@ -158,6 +160,20 @@ def test_rational_functions_match_sympy_cancel(ring):
             (f.inverse(), (fd, fn)),
         ]:
             assert (_exact_terms(got.num), _exact_terms(got.den)) == _sympy_reduced(num, den, ring)
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(10007)], ids=str)
+def test_translation_matches_sympy_shift(ring):
+    # p(t + r) at degrees 0..12 and valuations 0..3, r an integer or a
+    # fraction; one polynomial of degree 300 over GF(10007) pins the
+    # reduction mod p at every Horner step
+    rng = random.Random(f"sympy-shift:{ring.key}")
+    shapes = [(rng.randint(0, 12), rng.randint(0, 3)) for _ in range(60)]
+    for i, (degree, valuation) in enumerate(shapes + ([(300, 2)] if ring != QQ else [])):
+        coeffs = [ring.zero] * valuation + [ring.random(rng) for _ in range(degree)] + [ring.random_unit(rng)]
+        r = ring.of(Fraction(rng.randint(-9, 9), rng.choice((2, 3, 7)) if i % 2 else 1))
+        want = _sympy_poly(coeffs, ring).shift(sympy.Rational(str(r)))
+        assert _exact_terms(_translated(LaurentSeries.from_terms(ring, enumerate(coeffs)), r)) == _terms(want, ring)
 
 
 def test_expand_at_matches_sympy_series():

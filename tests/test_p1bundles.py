@@ -306,8 +306,9 @@ def test_splitting_type_matches_every_section_count():
 
 
 def test_splitting_type_and_is_trivial_call_counts(monkeypatch):
-    calls, passes, reciprocals = [], [], []
-    section_counts, reciprocal = p1bundles._section_counts, p1bundles._reciprocal
+    calls, passes, translations, inverted = [], [], [], []
+    section_counts, translated = p1bundles._section_counts, p1bundles._translated
+    invert = LaurentSeries.invert
 
     def counting_h0(datum, m, precision=None):
         calls.append(m)
@@ -317,24 +318,36 @@ def test_splitting_type_and_is_trivial_call_counts(monkeypatch):
         passes.append((low, high))
         return section_counts(datum, low, high, precision)
 
-    def counting_reciprocal(ring, factors, window):
-        reciprocals.append(window)
-        return reciprocal(ring, factors, window)
+    def counting_translated(p, r):
+        translations.append((p, r))
+        return translated(p, r)
+
+    def counting_invert(self, precision=None):
+        inverted.append(self)
+        return invert(self, precision)
 
     monkeypatch.setattr(p1bundles, "h0", counting_h0)
     monkeypatch.setattr(p1bundles, "_section_counts", counting_passes)
-    monkeypatch.setattr(p1bundles, "_reciprocal", counting_reciprocal)
+    monkeypatch.setattr(p1bundles, "_translated", counting_translated)
+    monkeypatch.setattr(LaurentSeries, "invert", counting_invert)
     d = ModificationDatum.at_points(
         QQ, ["0", "1"], [random_loop(2, 1, 3), unipotent()], monomial_loop(QQ, (1, -1))
     )
     bound = total_pole_bound(d)
     assert bound >= 3
     splitting_type(d)
-    # one pass for m = -B-1..B; its rows are built once: one reciprocal per
-    # point with a pole and one at infinity
+    # one pass for m = -B-1..B; its rows are built once: each pole bound is
+    # 1, so den = t(t - 1) is built from one factor per point, translated
+    # once to each point and reversed once at infinity, and each of these
+    # three expansions is inverted once
     assert calls == []
     assert passes == [(-bound - 1, bound)]
-    assert len(reciprocals) == 3
+    t = LaurentSeries.t_power(QQ, 1)
+    den = LaurentSeries.from_terms(QQ, [(1, -1), (2, 1)])
+    at_one = LaurentSeries.from_terms(QQ, [(1, 1), (2, 1)])  # den(t + 1)
+    reversed_den = LaurentSeries.from_terms(QQ, [(0, 1), (1, -1)])  # 1 - s
+    assert translations == [(t, 0), (t, -1), (den, 0), (den, 1)]
+    assert [inverted.count(s) for s in (den, at_one, reversed_den)] == [1, 1, 1]
     calls.clear()
     assert is_trivial(one_point(unipotent()))
     assert calls == [-1, 0]
