@@ -204,7 +204,7 @@ def _section_counts(datum: ModificationDatum, low: int, high: int, precision) ->
     once at the top twist, and each lower twist adds its n rows at s^(-m-1) at
     infinity.  h0(m) is the prefix width less the leading columns inside it.
     Every place reads the expansion of one 1/den, den = prod_j (t - r_j)^{N_j}:
-    den translated to the marked point, or reversed at infinity."""
+    den(t + r_i) at a marked point, or den reversed at infinity."""
     ring = datum.ring
     n = datum.n
     bounds, binf = _pole_bounds(datum, precision)
@@ -214,23 +214,27 @@ def _section_counts(datum: ModificationDatum, low: int, high: int, precision) ->
     if top < -bound:
         return [0] * (high - low + 1)
     work = precision or DEFAULT_PRECISION
-    factors = [_translated(LaurentSeries.t_power(ring, nq), ring.neg(q.r)) for q, nq in zip(datum.points, bounds)]
-    den = reduce(LaurentSeries.mul, factors) if factors else LaurentSeries.one(ring)
+
+    def den_at(r):  # den(t + r): one factor (t + r - r_j)^{N_j} per point with a pole
+        places = zip(datum.points, bounds)
+        factors = [_translated(LaurentSeries.t_power(ring, nq), ring.sub(r, q.r)) for q, nq in places if nq]
+        return reduce(LaurentSeries.mul, factors) if factors else LaurentSeries.one(ring)
+
     rows = []
     for i, (p, nb) in enumerate(zip(datum.points, bounds)):
         if nb == 0:
             continue
         # t^k / den at r_i is (t + r_i)^k / den(t + r_i), of valuation -N_i
-        local = _translated(den, p.r).invert(2 * nb + 2)
+        local = den_at(p.r).invert(2 * nb + 2)
         lin = LaurentSeries.from_terms(ring, [(0, p.r), (1, ring.one)])
         alpha_inv = datum.loops[i].inverse(max(work, 2 * nb + 2))
         exps = range(-2 * nb, 0)
         rows += _condition_rows(ring, alpha_inv, local, lin, top + bound + 1, exps, precision)
     if datum.infinity_loop is not None:
         # in s = 1/t, t^k / den is s^(total - k) / prod_j (1 - r_j s)^{N_j}: den's
-        # ints reversed, as den is monic of degree total (a point at 0 gives 1)
-        d, ints = den.vec
-        inf_local = LaurentSeries(ring, 0, (d, ints[::-1]), None).invert(2 * binf + 4).shifted(total)
+        # coefficients reversed, as den is monic of degree total (a point at 0 gives 1)
+        reversed_den = LaurentSeries.make(ring, 0, den_at(ring.zero).coeffs[::-1], None)
+        inf_local = reversed_den.invert(2 * binf + 4).shifted(total)
         s_inv = LaurentSeries.t_power(ring, -1)
         window = 2 * binf + max(abs(bottom), abs(top)) + 2
         inf_inv = datum.infinity_loop.inverse(max(work, window))

@@ -464,6 +464,8 @@ def _translated(p: LaurentSeries, r) -> LaurentSeries:
     on the packed ints: with r = rn/rd and p = sum c_k t^k / d of degree K,
     h <- h*(rd*t + rn) + c_k*rd^(K+1-k) from h = 0 and k = K down to 0 ends
     at p(t + r) times d*rd^(K+1).  Over GF(p) every step reduces mod p."""
+    if not r:
+        return p
     ring, (d, ints) = p.ring, p.vec
     q = ring.characteristic
     rn, rd = (r, 1) if q else r.as_integer_ratio()

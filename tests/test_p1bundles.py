@@ -337,16 +337,17 @@ def test_splitting_type_and_is_trivial_call_counts(monkeypatch):
     assert bound >= 3
     splitting_type(d)
     # one pass for m = -B-1..B; its rows are built once: each pole bound is
-    # 1, so den = t(t - 1) is built from one factor per point, translated
-    # once to each point and reversed once at infinity, and each of these
-    # three expansions is inverted once
+    # 1, so den = t(t - 1) is formed once at each place from one translated
+    # factor t per point, den(t + 0) and den(t + 1) at the points and den at
+    # infinity, where it is reversed; each of the three expansions is
+    # inverted once
     assert calls == []
     assert passes == [(-bound - 1, bound)]
     t = LaurentSeries.t_power(QQ, 1)
     den = LaurentSeries.from_terms(QQ, [(1, -1), (2, 1)])
     at_one = LaurentSeries.from_terms(QQ, [(1, 1), (2, 1)])  # den(t + 1)
     reversed_den = LaurentSeries.from_terms(QQ, [(0, 1), (1, -1)])  # 1 - s
-    assert translations == [(t, 0), (t, -1), (den, 0), (den, 1)]
+    assert translations == [(t, 0), (t, -1), (t, 1), (t, 0), (t, 0), (t, -1)]
     assert [inverted.count(s) for s in (den, at_one, reversed_den)] == [1, 1, 1]
     calls.clear()
     assert is_trivial(one_point(unipotent()))
