@@ -18,7 +18,8 @@ that zero times q, so it only shortens the window, each to the end its
 product would certify (``LaurentSeries.product_end``).  The last pivot
 scales nothing that is read again and is not inverted.  The precision sets
 only the length of an exact pivot's inverse; for ``stratum`` it is the most
-the elimination may use, and lam does not depend on it.
+the elimination may use, and lam does not depend on it: ``stratum`` tries a
+quarter, then half, of it first, each inexact window cut to as many terms.
 
 The pivots are the certificate.  Each pivot is an entry of least valuation in
 the remaining block with a unit lead, and no entry that is zero only on its
@@ -220,14 +221,16 @@ def _certify(fact, precision):
 def stratum(a: LoopMatrix, precision: int | None = None) -> Cocharacter:
     """The dominant cocharacter of the double coset containing the loop.  The
     precision (16 when None) is the most the elimination may use; lam does not
-    depend on it, and an exact loop is reduced at a quarter, then half, of it first."""
+    depend on it.  Any loop is reduced at a quarter, then half, of it first,
+    each inexact entry cut to that many terms past its valuation: a shorter
+    window stands for more loops, so a lam certified on it holds for the input."""
     cap = DEFAULT_PRECISION if precision is None else precision
-    if cap >= 4 and all(e.is_exact for r in a.rows for e in r):
-        for p in (cap >> 2, cap >> 1):
-            try:
-                return smith_normal_form(a, p).cocharacter
-            except (PrecisionError, SingularToPrecision):
-                pass
+    for p in (cap >> 2, cap >> 1) if cap >= 4 else ():
+        rows = tuple([tuple([e if e.is_exact else e.truncated(e.shift + p) for e in r]) for r in a.rows])
+        try:  # an exact loop, or one no cut shortens, is passed as it is
+            return smith_normal_form(a if rows == a.rows else LoopMatrix(rows), p).cocharacter
+        except (PrecisionError, SingularToPrecision):
+            pass
     return smith_normal_form(a, precision).cocharacter
 
 

@@ -355,27 +355,39 @@ def _stratum_corpus():
                     yield conj
                     yield LoopMatrix([[e.truncated(end) for e in r] for r in a.rows])
                     yield LoopMatrix([[e.truncated(rng.randint(-2, 8)) for e in r] for r in conj.rows])
+                    # long windows, which stratum's rungs cut to a quarter or half of the precision
+                    long_end = (12, 20, 28)[(n + pole + seed) % 3]
+                    yield LoopMatrix([[e.truncated(long_end) for e in r] for r in (a if seed else conj).rows])
+                    yield LoopMatrix([[e.truncated(e.shift + rng.randint(1, 24)) for e in r] for r in conj.rows])
 
 
-def test_stratum_is_the_cocharacter_of_smith_normal_form_at_the_same_precision():
-    # stratum may reduce an exact loop at shorter precisions first, but its
+def test_stratum_is_the_cocharacter_of_smith_normal_form_at_the_same_precision(monkeypatch):
+    # stratum may reduce a loop at shorter precisions and windows first, but its
     # answer or error is always that of smith_normal_form at the precision given
-    outcomes = collections.Counter()
+    outcomes, cut = collections.Counter(), 0
+    loops = []
+    _count_smith_normal_form_calls(monkeypatch, loops)
     for loop in _stratum_corpus():
         for p in (None, 1, 2, 3, 4, 8, 16, 32):
             want = _outcome(lambda: smith_normal_form(loop, p).cocharacter)
+            loops.clear()
             assert _outcome(stratum, loop, p) == want
             if isinstance(want, Cocharacter):
+                cut += loops[-1] is not loop  # answered on windows a rung cut
                 assert coarse_stratum(loop, p) == CoarseStratum.of(want)
             outcomes[type(want) if isinstance(want, Cocharacter) else want[0]] += 1
     assert set(outcomes) == {Cocharacter, InsufficientPrecision, SingularToPrecision}
+    assert cut > 0
 
 
-def _count_smith_normal_form_calls(monkeypatch):
+def _count_smith_normal_form_calls(monkeypatch, loops=None):
+    # the precision of each call, and its loop when a list is given
     calls, snf = [], cartan.smith_normal_form
 
     def counted(loop, p=None):
         calls.append(p)
+        if loops is not None:
+            loops.append(loop)
         return snf(loop, p)
 
     monkeypatch.setattr(cartan, "smith_normal_form", counted)
@@ -394,14 +406,25 @@ def test_stratum_escalates_to_the_precision_given_and_no_further(monkeypatch):
     assert calls == [4, 8, None]
 
 
-@pytest.mark.parametrize("truncate, precision", [(True, None), (True, 32), (False, 3)])
-def test_stratum_reduces_once_a_truncated_loop_or_below_precision_four(monkeypatch, truncate, precision):
+@pytest.mark.parametrize(
+    "truncate, precision, rungs",
+    [(True, None, [4]), (True, 32, [8]), (False, None, [4]), (False, 3, [3])],
+    ids=["True-None", "True-32", "False-None", "False-3"],
+)
+def test_stratum_cuts_inexact_windows_to_the_rung_or_reduces_once_below_precision_four(
+    monkeypatch, truncate, precision, rungs
+):
     a = random_loop(3, 2, 3)
     lam = a.built_from
-    if truncate:  # one truncated entry bounds the windows whatever the precision
+    if truncate:  # one truncated entry, longer than either rung
         rows = [list(r) for r in a.rows]
         rows[1][2] = rows[1][2].truncated(rows[1][2].shift + 12)
         a = LoopMatrix(rows)
-    calls = _count_smith_normal_form_calls(monkeypatch)
+    loops = []
+    calls = _count_smith_normal_form_calls(monkeypatch, loops)
     assert stratum(a, precision).entries == lam
-    assert calls == [precision]
+    assert calls == rungs
+    # an exact loop reaches the call as it is; an inexact window is cut to
+    # at most p terms past its valuation
+    assert (loops[0] is a) == (not truncate)
+    assert all(e.is_exact or e.known_end - e.shift <= p for loop, p in zip(loops, calls) for r in loop.rows for e in r)

@@ -13,7 +13,9 @@ value (each entry's group, shift, coefficients and window) and every error
 U * t^lam * V.  The residual pass it once ran is kept below as the reference:
 whenever the library answers on a truncation of a loop of known stratum, lam
 must be that stratum, U and V positive, and every entry of U * t^lam * V - a
-zero on its window.
+zero on its window.  `stratum` may answer from windows it cut shorter:
+whenever it answers, lam must be that stratum, and whenever
+`smith_normal_form` answers at the precision given, `stratum` must too.
 
 `h0` and `splitting_type` count sections for all twists from one echelon
 pass.  The oracle below is the per-twist count it replaced: every twist
@@ -61,6 +63,7 @@ from loopgr import (
     random_loop,
     smith_normal_form,
     splitting_type,
+    stratum,
 )
 from loopgr.cartan import CartanFactorization, Cocharacter, _certify
 from loopgr.factorization import (
@@ -547,6 +550,44 @@ def test_smith_normal_form_answers_are_sound():
 
     check()
     # answers on exact loops and on truncated ones alike
+    assert {False, True} <= set(answered)
+
+
+def test_stratum_answers_are_sound_and_no_answer_is_lost():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    answered = []
+
+    # windows of up to 24 known terms, longer than the quarter and half of
+    # the precision to which stratum's rungs cut them
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(
+        st.sampled_from([QQ, PrimeField(10007), PrimeField(7)]),
+        st.integers(2, 5),
+        st.integers(0, 2),
+        st.integers(0, 10**6),
+        st.sampled_from((None, 4, 8, 16, 32)),
+        st.data(),
+    )
+    def check(ring, n, pole, seed, precision, data):
+        g = random_loop(n, pole, seed, ring)
+
+        def window(e):
+            d = data.draw(st.none() | st.integers(-1, 24))
+            return e if d is None else e.truncated(e.shift + d)
+
+        a = LoopMatrix([[window(e) for e in r] for r in g.rows])
+        try:
+            lam = stratum(a, precision)
+        except (InsufficientPrecision, SingularToPrecision):
+            # smith_normal_form at the precision given has no answer either
+            with pytest.raises((InsufficientPrecision, SingularToPrecision)):
+                smith_normal_form(a, precision)
+            return
+        assert lam.entries == g.built_from
+        answered.append(any(not e.is_exact for r in a.rows for e in r))
+
+    check()
     assert {False, True} <= set(answered)
 
 
