@@ -411,9 +411,7 @@ def test_stratum_escalates_to_the_precision_given_and_no_further(monkeypatch):
     [(True, None, [4]), (True, 32, [8]), (False, None, [4]), (False, 3, [3])],
     ids=["True-None", "True-32", "False-None", "False-3"],
 )
-def test_stratum_cuts_inexact_windows_to_the_rung_or_reduces_once_below_precision_four(
-    monkeypatch, truncate, precision, rungs
-):
+def test_stratum_reduces_once_a_truncated_loop_or_below_precision_four(monkeypatch, truncate, precision, rungs):
     a = random_loop(3, 2, 3)
     lam = a.built_from
     if truncate:  # one truncated entry, longer than either rung
