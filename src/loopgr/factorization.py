@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InsufficientPrecision, UnsupportedRank
 from .loops import LoopMatrix, elementary_loop
 from .p1bundles import ModificationDatum
-from .rings import ArtinianRing, Ring
+from .rings import ArtinianRing, Ring, _artinian
 from .series import DEFAULT_PRECISION, LaurentSeries
 
 _POSITIONS = ((1, 2), (2, 1))
@@ -63,7 +63,9 @@ class Factorization:
             raise DomainError("gamma must be a positive loop")
 
     def product(self) -> LoopMatrix:
-        # each factor I + x*e_ij is the column operation column j += x * column i;
+        # each factor I + x*e_ij is the column operation column j += x * column i,
+        # in each row as the dot would give it: nothing to do where column i is
+        # exactly 0, and x itself where it is exactly 1 over an exact 0;
         # det(I + x*e_ij) = 1 for every x, even one known only on a window, so
         # the determinant is det gamma (exactly 1 without gamma) and is recorded
         one, zero = LaurentSeries.one(self.ring), LaurentSeries.zero(self.ring)
@@ -73,9 +75,15 @@ class Factorization:
             rows = [list(r) for r in self.gamma.rows]
             det, group = self.gamma.det(), self.gamma.group
         for f in self.factors:
-            i, j = f.position[0] - 1, f.position[1] - 1
+            i, j, x = f.position[0] - 1, f.position[1] - 1, f.parameter
+            self.ring.require_same(x.ring)  # the dot would check it
             for r in rows:
-                r[j] = LaurentSeries.dot(((r[j], one), (r[i], f.parameter)))
+                if r[i].is_exact_zero:
+                    continue
+                if r[j].is_exact_zero and r[i] == one:
+                    r[j] = x
+                else:
+                    r[j] = LaurentSeries.dot(((r[j], one), (r[i], x)))
         out = LoopMatrix(rows)
         out._det, out.group = det, group
         return out
@@ -160,13 +168,6 @@ def _factor(m: LoopMatrix, precision) -> list[ElementaryFactor]:
     )
 
 
-def _artinian(ring: Ring) -> ArtinianRing:
-    """The one base check of every lift, extension and reduction."""
-    if not isinstance(ring, ArtinianRing):
-        raise DomainError(f"need an Artinian base k[x]/(x^m), got {ring}")
-    return ring
-
-
 def lift_factorization(
     fact: Factorization,
     target: ArtinianRing,
@@ -183,7 +184,7 @@ def lift_factorization(
         if not 0 <= idx < len(factors):
             raise DomainError(f"perturbation index {idx} out of range")
         p.ring.require_same(target)
-        if any(not target.in_maximal_ideal(c) for c in p.coeffs):
+        if any(p.vec[1][:: target.m]):  # a coefficient's residue is the first int of its block
             raise DomainError("perturbations must lie in the maximal ideal")
         factors[idx] = ElementaryFactor(factors[idx].position, factors[idx].parameter.add(p))
     return Factorization(target, tuple(factors), lifted.gamma)

@@ -442,7 +442,16 @@ class ArtinianRing(Ring):
         return tuple([bneg(x) for x in a])
 
     def mul(self, a, b):
-        return self.at(self.dot_vec([(0, self._pack(a), self._pack(b))], 1)[1], 0)
+        # the product truncated at x^m: one convolution of the base's ints over
+        # one denominator, closed as one block (an exact 0 closes to no ints)
+        base, m = self.base, self.m
+        (da, na), (db, nb) = base.numerators(a), base.numerators(b)
+        out = [0] * m
+        for i, c in enumerate(na):
+            if c:
+                for j, e in enumerate(nb[: m - i], i):
+                    out[j] += c * e
+        return tuple(base.values(*base.close(da * db, out, m)[1])) or self.zero
 
     def close(self, d, ints) -> tuple:
         return self.base.close(d, ints, self.m)
@@ -463,12 +472,17 @@ class ArtinianRing(Ring):
         # t^i x^u sits at i*m + u, so a term of a at p and one of b at k meet
         # at offset*m + p + k.  A pair is skipped when its x-degree would
         # reach m, so no product of x-degree m or more is formed; a run over b
-        # stops at the t-cut.
-        m = self.m
+        # stops at the t-cut.  A term with an operand 1 (every add, sub and
+        # column operation has one) is the other operand, added in one slice.
+        m, one = self.m, self.one_vec[1]
         d, conv = _one_denominator(terms, size, m)
         end = size * m
         out = [0] * end
         for offset, f, na, nb in conv:
+            if one in (na, nb):
+                y, stop = (nb, offset + len(nb)) if na == one else (na, offset + len(na))
+                out[offset:stop] = [x + f * c for x, c in zip(out[offset:stop], y)]
+                continue
             runs = [(k, e, k % m) for k, e in enumerate(nb) if e]
             for p, c in enumerate(na):
                 if not c:
@@ -514,3 +528,10 @@ class ArtinianRing(Ring):
         return (self.base.random_unit(rng),) + tuple(
             self.base.random(rng) for _ in range(self.m - 1)
         )
+
+
+def _artinian(ring: Ring) -> ArtinianRing:
+    """The one base check of every lift, extension and reduction."""
+    if not isinstance(ring, ArtinianRing):
+        raise DomainError(f"need an Artinian base k[x]/(x^m), got {ring}")
+    return ring

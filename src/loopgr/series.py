@@ -26,7 +26,7 @@ from .errors import (
     NonUnitLeading,
     ZeroToPrecision,
 )
-from .rings import Ring, signed_sum
+from .rings import Ring, _artinian, signed_sum
 
 
 def _min_end(*ends):
@@ -289,11 +289,13 @@ class LaurentSeries:
         return LaurentSeries.make(ring, self.shift, [ring.of(fn(c)) for c in self.coeffs], self.known_end)
 
     def lifted(self, ring) -> "LaurentSeries":
-        """The constant lift to ring = k[x]/(x^m): map_coefficients(ring.from_base, ring), on ints."""
-        ring.base.require_same(self.ring)
+        """The constant lift to ring = k[x]/(x^m): map_coefficients(ring.from_base, ring), on
+        ints.  The base ints at every m-th place keep both ends and the gcd: it is canonical."""
+        _artinian(ring).base.require_same(self.ring)
         d, ints = self.vec
-        lift = [x for c in ints for x in (c,) + (0,) * (ring.m - 1)]
-        return _series(ring, self.shift, ring.close(d, lift), self.known_end)
+        lift = [0] * (len(ints) * ring.m)
+        lift[:: ring.m] = ints
+        return LaurentSeries(ring, self.shift, (d, tuple(lift)), self.known_end)
 
     # -- comparisons -------------------------------------------------------
 

@@ -213,6 +213,73 @@ def test_recorded_product_determinant_matches_expansion(monkeypatch, ring):
         assert product.det().agrees_with(minor(product.rows, full, full, {}))
 
 
+def _product_rows_by_dot(f):
+    """The rows of f.product() with every column operation run as a dot."""
+    one, zero = LaurentSeries.one(f.ring), LaurentSeries.zero(f.ring)
+    rows = [[one, zero], [zero, one]] if f.gamma is None else [list(r) for r in f.gamma.rows]
+    for x in f.factors:
+        i, j = x.position[0] - 1, x.position[1] - 1
+        for r in rows:
+            r[j] = LaurentSeries.dot(((r[j], one), (r[i], x.parameter)))
+    return rows
+
+
+@pytest.mark.parametrize("base", [QQ, PrimeField(7), PrimeField(10007)], ids=lambda r: r.name)
+def test_product_equals_the_fold_of_dots_property(base):
+    # the column operations that product skips, where column i is exactly 0 or
+    # exactly 1 over an exact 0, are those whose dot changes nothing or gives x
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    one, zero = LaurentSeries.one(base), LaurentSeries.zero(base)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 2**32), st.integers(1, 6), st.sampled_from(("base", "lifted", "perturbed")))
+    def check(seed, m, kind):
+        rng = random.Random(seed)
+        f = _random_factorization(base, rng)
+        # exact 0 and +-1 parameters put exact zeros and ones inside the product too
+        special = (zero, one, one.neg())
+        params = [rng.choice(special) if rng.random() < 0.3 else x.parameter for x in f.factors]
+        f = Factorization(base, [ElementaryFactor(x.position, p) for x, p in zip(f.factors, params)], f.gamma)
+        if kind != "base":
+            A = ArtinianRing(base, m)
+            pert = {
+                idx: LaurentSeries.from_terms(
+                    A, [(rng.randint(-2, 2), A.mul(A.gen(), A.random(rng)))], rng.choice((None, 3))
+                )
+                for idx in range(len(f))
+                if kind == "perturbed" and rng.random() < 0.6
+            }
+            f = lift_factorization(f, A, pert)
+        product = f.product()
+        assert [list(r) for r in product.rows] == _product_rows_by_dot(f)
+        assert product.group == (f.gamma.group if f.gamma is not None else "SL")
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "ring", [QQ, PrimeField(7), ArtinianRing(PrimeField(10007), 3)], ids=lambda r: r.name
+)
+def test_alternating_product_from_the_identity_makes_2k_minus_3_dots(monkeypatch, ring):
+    # the first factor only places its parameter, the second runs one dot (its
+    # other row places), every later one two; parameters c*t with c a unit
+    # leave no entry but the identity's zeros exactly zero
+    rng = random.Random(f"fact-dot-count:{ring.name}")
+    unit_t = lambda: LaurentSeries.from_terms(ring, [(1, ring.random_unit(rng))])
+    cases = [
+        Factorization(ring, [ElementaryFactor((1, 2) if f % 2 == 0 else (2, 1), unit_t()) for f in range(k)])
+        for k in range(1, 7)
+    ]
+    expected = [_product_rows_by_dot(f) for f in cases]
+    dot, calls = LaurentSeries.dot, []
+    monkeypatch.setattr(LaurentSeries, "dot", staticmethod(lambda pairs: calls.append(pairs) or dot(pairs)))
+    for f, rows in zip(cases, expected):
+        calls.clear()
+        assert [list(r) for r in f.product().rows] == rows
+        assert len(calls) == max(0, 2 * len(f) - 3)
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_gamma_must_be_two_by_two(n):
     factors = (ElementaryFactor((1, 2), LaurentSeries.t_power(QQ, -1)),)
@@ -257,6 +324,35 @@ def test_constant_lift_roundtrip():
     assert lifted.factors[0].parameter.ring == A
 
 
+def test_lifted_needs_an_artinian_target():
+    with pytest.raises(DomainError, match="need an Artinian base"):
+        LaurentSeries.from_terms(QQ, [(0, 1)]).lifted(QQ)
+
+
+@pytest.mark.parametrize("base", [QQ, PrimeField(7), PrimeField(10007)], ids=lambda r: r.name)
+def test_lifted_is_the_scalar_lift_property(base):
+    # the lift is built canonical, with no close(): it must be the packed form
+    # of the scalar lift exactly, shift and window included
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 2**32), st.integers(1, 6), st.sampled_from(("exact", "truncated", "zero")))
+    def check(seed, m, kind):
+        rng = random.Random(seed)
+        A = ArtinianRing(base, m)
+        s = rand_exact_series(base, rng, density=rng.choice((0.3, 0.7, 1.0)))
+        if kind == "truncated":
+            s = s.truncated(s.shift + rng.randint(1, 6))
+        elif kind == "zero":  # zero only on its window, as a cut or as built
+            s = s.truncated(s.shift) if rng.random() < 0.5 else LaurentSeries.zero(base, rng.randint(-3, 3))
+        got, want = s.lifted(A), s.map_coefficients(A.from_base, A)
+        assert (got.vec, got.shift, got.known_end) == (want.vec, want.shift, want.known_end)
+        assert got.ring == A
+
+    check()
+
+
 def test_perturbed_lift_still_reduces():
     A = ArtinianRing(QQ, 2)
     f = factor_elementary(E12([(-1, 1)]))
@@ -269,10 +365,21 @@ def test_perturbed_lift_still_reduces():
 
 
 def test_perturbation_must_be_in_maximal_ideal():
-    A = ArtinianRing(QQ, 2)
-    f = factor_elementary(E12([(-1, 1)]))
-    with pytest.raises(DomainError):
-        lift_factorization(f, A, {0: LaurentSeries.one(A)})
+    for A in (ArtinianRing(QQ, 2), ArtinianRing(PrimeField(7), 3)):
+        f = factor_elementary(E12([(-1, 1)], A.base))
+        lifted = lift_factorization(f, A)
+        # a unit coefficient at the lead, or behind a nilpotent lead at t^1 or t^2
+        for bad in (
+            LaurentSeries.one(A),
+            LaurentSeries.from_terms(A, [(0, A.gen()), (1, A.one)]),
+            LaurentSeries.from_terms(A, [(-1, A.gen()), (0, A.gen()), (1, A.from_base(A.base.of(3)))], 4),
+        ):
+            with pytest.raises(DomainError, match="^perturbations must lie in the maximal ideal$"):
+                lift_factorization(f, A, {0: bad})
+        # an exactly zero perturbation and an O(t^k) one are in the ideal
+        for ok in (LaurentSeries.zero(A), LaurentSeries.zero(A, 3), LaurentSeries.zero(A, -2)):
+            got = lift_factorization(f, A, {0: ok}).factors[0].parameter
+            assert got == lifted.factors[0].parameter.add(ok)
 
 
 def test_perturbation_index_must_name_a_factor():

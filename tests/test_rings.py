@@ -382,6 +382,50 @@ def test_artinian_kernel_property():
     check()
 
 
+def test_artinian_scalar_product_is_the_series_product_property():
+    # ArtinianRing.mul convolves the base ints of two scalars directly; its
+    # oracle is coefficient 0 of the product of the constant series, the
+    # series kernel, value and type of every base coefficient
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    kinds = st.sampled_from(("zero", "constant", "nilpotent", "dense", "unit"))
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(_ART_BASES), st.integers(1, 6), st.integers(0, 2**32), kinds, kinds)
+    def check(base, m, seed, kind_a, kind_b):
+        rng, ring = random.Random(seed), ArtinianRing(base, m)
+        a, b = [ring.random_unit(rng) if k == "unit" else _art_entry(ring, rng, k) for k in (kind_a, kind_b)]
+        got = ring.mul(a, b)
+        want = LaurentSeries.constant(ring, a).mul(LaurentSeries.constant(ring, b)).coefficient(0)
+        assert got == want and [type(c) for c in got] == [type(c) for c in want]
+
+    check()
+
+
+def test_artinian_dot_with_an_operand_one_property():
+    # a term with an operand 1 is added as the other operand, in one pass: the
+    # shapes of add, sub and a column operation, with 1 on either side
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rings = st.sampled_from(_ART_BASES).flatmap(lambda base: st.integers(1, 6).map(lambda m: ArtinianRing(base, m)))
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(rings, st.integers(0, 2**32), st.integers(0, 4), st.integers(0, 14))
+    def check(ring, seed, o, size):
+        rng, one = random.Random(seed), [ring.one]
+        a, b, x = [_art_vector(ring, rng, rng.randint(1, 6)) for _ in range(3)]
+        shapes = [
+            [(0, a, one), (o, b, one)],  # add
+            [(0, a, one), (o, [ring.neg(c) for c in b], one)],  # sub
+            [(o, b, one), (0, a, x)],  # column operation
+            [(o, one, a), (0, one, one)],
+        ]
+        for terms in shapes:
+            _check_dot(ring, terms, size)
+
+    check()
+
+
 @pytest.mark.parametrize("ring", [ArtinianRing(QQ, 3), ArtinianRing(PrimeField(7), 2)], ids=lambda r: r.name)
 def test_artinian_series_product_runs_no_scalar_product(monkeypatch, ring):
     rng = random.Random(f"no-scalar-product:{ring.name}")
